@@ -26,15 +26,7 @@ from .enumeration import (
     verify_theorem_uniform,
 )
 from .errors import BergeError, FormatError
-from .hypergraph import (
-    LinearHypergraph,
-    components,
-    degree,
-    format_hg,
-    load_hg,
-    shadow,
-    shadow_degree,
-)
+from .hypergraph import components, format_hg, load_hg, shadow
 from .solver import has_berge_path, longest_berge_cycle, longest_berge_path
 from .structure import (
     CycleContext,
@@ -76,6 +68,23 @@ def _emit(args, command: dict, result: dict, started: float) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer >= ``low``; anything else is a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+_POSITIVE = _int_at_least(1)
+_NON_NEGATIVE = _int_at_least(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,17 +131,17 @@ def build_parser() -> argparse.ArgumentParser:
     act = p.add_subparsers(dest="action", required=True)
     for name in ("theorem-uniform", "theorem-shadow", "remark"):
         q = act.add_parser(name)
-        q.add_argument("--n", type=int, required=True)
+        q.add_argument("--n", type=_POSITIVE, required=True)
         q.add_argument("--k", type=int, required=True)
-        q.add_argument("--jobs", type=int, default=None)
-        q.add_argument("--witness-limit", type=int, default=8)
+        q.add_argument("--jobs", type=_POSITIVE, default=None)
+        q.add_argument("--witness-limit", type=_NON_NEGATIVE, default=8)
         q.add_argument("--witness-dir")
         q.add_argument("-o", "--output")
     q = act.add_parser("claims")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--samples", type=int, default=None)
+    q.add_argument("--n", type=_POSITIVE, required=True)
+    q.add_argument("--samples", type=_POSITIVE, default=None)
     q.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    q.add_argument("--jobs", type=int, default=None)
+    q.add_argument("--jobs", type=_POSITIVE, default=None)
     q.add_argument("-o", "--output")
 
     return top
@@ -167,15 +176,24 @@ def _run_shadow(args, started) -> int:
 
 def _run_stats(args, started) -> int:
     h = load_hg(args.file)
-    sg = shadow(h)
-    degs = [degree(h, v) for v in range(h.n)]
-    sdegs = [shadow_degree(h, v) for v in range(h.n)]
+    # one pass over the edges; by linearity every edge adds |e| - 1 shadow
+    # pairs at each of its vertices and C(|e|, 2) distinct shadow pairs
+    degs = [0] * h.n
+    sdegs = [0] * h.n
+    m2 = 0
+    for e in h.edges:
+        if len(e) == 2:
+            m2 += 1
+        for v in e:
+            degs[v] += 1
+            sdegs[v] += len(e) - 1
+    m3 = h.m - m2
     result = {
         "n": h.n,
         "m": h.m,
-        "m2": h.m2,
-        "m3": h.m3,
-        "shadow_edges": sg.edge_count,
+        "m2": m2,
+        "m3": m3,
+        "shadow_edges": m2 + 3 * m3,
         "components": len(components(h)),
         "min_degree": min(degs) if degs else 0,
         "max_degree": max(degs) if degs else 0,
@@ -314,7 +332,7 @@ def main(argv=None) -> int:
     except BergeError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error [io]: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -21,6 +21,7 @@ results merge commutatively, so reports are identical for any job count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -30,7 +31,7 @@ from fractions import Fraction
 from multiprocessing import Pool
 
 from .errors import CapExceededError
-from .hypergraph import LinearHypergraph, format_hg
+from .hypergraph import Edge, LinearHypergraph, format_hg
 from .solver import all_longest_berge_cycles, longest_berge_cycle
 from .structure import (
     CycleContext,
@@ -140,6 +141,20 @@ class VerificationReport:
 # candidate tables and incremental DFS state
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _candidates(n: int, uniformity: str) -> tuple[tuple[Edge, ...], tuple[int, ...]]:
+    """Candidate edges on ``n`` vertices in lexicographic order, and for each
+    the bitmask of the vertex pairs it covers.  Built once per scope."""
+    cands = list(itertools.combinations(range(n), 3))
+    if uniformity == "23":
+        cands += itertools.combinations(range(n), 2)
+    cands.sort()
+    pid = {p: i for i, p in enumerate(itertools.combinations(range(n), 2))}
+    bits = tuple(sum(1 << pid[p] for p in itertools.combinations(e, 2))
+                 for e in cands)
+    return tuple(cands), bits
+
+
 class _Walk:
     """Mutable DFS state: pair coverage, shadow adjacency, incidences."""
 
@@ -149,30 +164,18 @@ class _Walk:
 
     def __init__(self, n: int, uniformity: str):
         self.n = n
-        cands: list[tuple[int, ...]] = []
-        if uniformity == "23":
-            cands += list(itertools.combinations(range(n), 2))
-        cands += list(itertools.combinations(range(n), 3))
-        cands.sort()
-        self.cands = cands
-        self.C = len(cands)
-        pid = {}
-        for i, (u, v) in enumerate(itertools.combinations(range(n), 2)):
-            pid[u * n + v] = i
-        self.pair_bits = []
+        self.cands, self.pair_bits = _candidates(n, uniformity)
+        self.C = len(self.cands)
         self.pairs = []   # packed pair keys, both vertex orders, for cover[]
         self.vmask = []
         self.adjbits = []
         self.is3 = []
         self.shcount = []
-        for e in cands:
-            bits = 0
+        for e in self.cands:
             ps = []
             for u, v in itertools.combinations(e, 2):
-                bits |= 1 << pid[u * n + v]
                 ps.append(u * n + v)
                 ps.append(v * n + u)
-            self.pair_bits.append(bits)
             self.pairs.append(tuple(ps))
             msk = 0
             for v in e:
@@ -415,23 +418,17 @@ def random_linear(n: int, rng: random.Random, uniformity: str = "23") -> LinearH
     """Seeded random linear hypergraph: draw a target number of insertion
     attempts uniformly, then insert uniform random candidate edges,
     rejecting any that break linearity."""
-    cands: list[tuple[int, ...]] = []
-    if uniformity == "23":
-        cands += list(itertools.combinations(range(n), 2))
-    cands += list(itertools.combinations(range(n), 3))
-    cands.sort()
-    attempts = rng.randint(0, len(cands))
-    covered: set[tuple[int, int]] = set()
-    edges = []
-    for _ in range(attempts):
-        e = cands[rng.randrange(len(cands))]
-        ps = list(itertools.combinations(e, 2))
-        if any(p in covered for p in ps):
-            continue
-        covered.update(ps)
-        edges.append(e)
-    edges.sort()
-    return LinearHypergraph(n=n, edges=tuple(edges))
+    cands, bits = _candidates(n, uniformity)
+    count = len(cands)
+    covered = 0
+    chosen = []
+    for _ in range(rng.randint(0, count)):
+        i = rng.randrange(count)
+        if not covered & bits[i]:
+            covered |= bits[i]
+            chosen.append(i)
+    chosen.sort()   # candidate order is lexicographic
+    return LinearHypergraph(n=n, edges=tuple(cands[i] for i in chosen))
 
 
 def _encode(h: LinearHypergraph) -> bytes:

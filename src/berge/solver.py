@@ -17,6 +17,16 @@ Hence the DFS only compares each step's cover against its neighbors instead
 of carrying a used-edge set.  Witnesses are independently re-checked by the
 validity predicates, which implement the definition verbatim.
 
+The cycle search runs on the *cycle core*: repeatedly peel every vertex
+that lies in at most one hyperedge (a 3-edge losing a vertex becomes a
+2-edge; a 2-edge losing one disappears and costs its other vertex a
+degree).  Every cycle vertex lies in two cycle edges, each of which keeps
+its two cycle vertices, so no cycle uses a peeled vertex.  The DFS never
+enters a peeled vertex, and min(core vertices, core edges) bounds the
+cycle length, so the search stops at the first cycle of that length.  Both
+cuts remove only branches that cannot beat the current best, so the
+witness and the set of longest cycles are those of the unpruned search.
+
 ``oracle_longest_path`` / ``oracle_longest_cycle`` are deliberately slow,
 structurally different cross-checks: they enumerate injective vertex
 sequences and decide hyperedge assignment by bipartite matching, which also
@@ -248,12 +258,43 @@ def all_longest_berge_cycles(h: LinearHypergraph) -> list[BergeCycle]:
     ]
 
 
+def _cycle_core(h: LinearHypergraph) -> tuple[int, int]:
+    """(vertex mask, edge count) of the cycle core of ``h`` (see the module
+    docstring), peeled in O(n + m) with incidence lists."""
+    n = h.n
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for idx, e in enumerate(h.edges):
+        for v in e:
+            incident[v].append(idx)
+    deg = [len(es) for es in incident]
+    size = [len(e) for e in h.edges]
+    alive = (1 << n) - 1
+    edges_left = h.m
+    todo = [v for v in range(n) if deg[v] <= 1]
+    while todo:
+        v = todo.pop()
+        alive ^= 1 << v
+        for idx in incident[v]:
+            size[idx] -= 1
+            if size[idx] != 1:
+                continue
+            edges_left -= 1
+            for u in h.edges[idx]:
+                if (alive >> u) & 1 and u != v:
+                    deg[u] -= 1
+                    if deg[u] == 1:
+                        todo.append(u)
+    return alive, edges_left
+
+
 def _cycle_search(h: LinearHypergraph, collect_all: bool):
-    n, m = h.n, h.m
-    if m < 3 or n < 3:
+    n = h.n
+    core, core_m = _cycle_core(h)
+    if core_m < 3:
         return []
     adj, cover = _view(h)
-    ub = min(n, m)
+    adj = [a & core if (core >> v) & 1 else 0 for v, a in enumerate(adj)]
+    ub = min(core.bit_count(), core_m)
     best_len = 2
     hits: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     path: list[int] = []
@@ -283,8 +324,6 @@ def _cycle_search(h: LinearHypergraph, collect_all: bool):
         if not free:
             return False
         limit = best_len if not collect_all else best_len - 1
-        if lp + (n - lp) <= limit:
-            return False
         r = _reach(adj, free, vis)
         if lp + r.bit_count() <= limit:
             return False

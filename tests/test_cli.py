@@ -174,3 +174,40 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "claims", "--n", "5", "--samples", "0"],
+    ["verify", "claims", "--n", "5", "--jobs", "0"],
+    ["verify", "claims", "--n", "5", "--jobs", "-3"],
+    ["verify", "theorem-shadow", "--n", "4", "--k", "4", "--jobs", "0"],
+    ["verify", "claims", "--n", "0"],
+    ["verify", "theorem-shadow", "--n", "0", "--k", "4"],
+    ["verify", "theorem-uniform", "--n", "0", "--k", "4"],
+    ["verify", "remark", "--n", "0", "--k", "2"],
+    ["verify", "remark", "--n", "4", "--k", "2", "--witness-limit", "-1"],
+], ids=["samples-0", "jobs-0", "jobs-neg", "shadow-jobs-0", "claims-n-0",
+        "shadow-n-0", "uniform-n-0", "remark-n-0", "witness-limit-neg"])
+def test_vacuous_arguments_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "must be >=" in err
+
+
+def test_non_file_input_exits_2(tmp_path, capsys):
+    assert main(["stats", str(tmp_path)]) == 2
+    assert "error [io]" in capsys.readouterr().err
+
+
+def test_stats_degrees(tmp_path, capsys):
+    f = tmp_path / "mixed.hg"
+    f.write_text("6 3\n0 1 2\n2 3\n3 4\n")
+    code, rep = _report(capsys, ["stats", str(f)])
+    assert code == 0
+    assert rep["result"] == {
+        "n": 6, "m": 3, "m2": 2, "m3": 1, "shadow_edges": 5, "components": 2,
+        "min_degree": 0, "max_degree": 2,
+        "min_shadow_degree": 0, "max_shadow_degree": 3,
+    }

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -117,6 +118,15 @@ def test_random_instances_are_valid():
     for i in range(100):
         h = random_linear(9, random.Random(f"valid:{i}"))
         assert validate(h.n, h.edges) == h
+
+
+def test_random_linear_stream_pinned():
+    # the seeded instance stream of `verify claims --samples` (seed 1729)
+    stream = [(h.n, h.edges)
+              for n in (5, 9, 12) for u in ("23", "3") for i in range(50)
+              for h in [random_linear(n, random.Random(f"1729:{i}"), u)]]
+    digest = hashlib.sha256(repr(stream).encode()).hexdigest()
+    assert digest == "79c650f2a2905e5da2eeedfe93e50c8938dd9734dbdcebcf86778702355374f4"
 
 
 def test_canonical_form_invariance():

@@ -18,6 +18,7 @@ from berge import (
     validate,
 )
 from berge.enumeration import CampaignParams, enumerate_hypergraphs, random_linear
+from berge.solver import _cycle_core
 
 
 def test_path_validity_basics(one_triple):
@@ -217,3 +218,87 @@ def test_witness_is_lexicographic_minimum():
         got = longest_berge_path(h)
         assert got.length == length
         assert got.vertices == all_max[0]
+
+
+def _all_cycles(h):
+    """Independent enumeration of every Berge cycle, minimum vertex first.
+
+    Walks injective vertex sequences, tracks the used hyperedges as a set
+    (no linearity shortcut) and closes a cycle whenever the closing pair is
+    covered by an unused hyperedge.  Returns (vertices, hyperedges) pairs.
+    """
+    import itertools
+
+    cover = {}
+    for e in h.edges:
+        for p in itertools.combinations(e, 2):
+            cover[p] = e
+    found = []
+
+    def edge(a, b):
+        return cover.get((a, b) if a < b else (b, a))
+
+    def grow(seq, used):
+        if len(seq) >= 3:
+            e = edge(seq[-1], seq[0])
+            if e is not None and e not in used:
+                found.append((tuple(seq), tuple(used) + (e,)))
+        for w in range(seq[0] + 1, h.n):
+            e = edge(seq[-1], w)
+            if w in seq or e is None or e in used:
+                continue
+            seq.append(w)
+            used.append(e)
+            grow(seq, used)
+            seq.pop()
+            used.pop()
+
+    for s in range(h.n):
+        grow([s], [])
+    return found
+
+
+def _peeled_core(h):
+    """Vertices left after repeatedly deleting every vertex of degree <= 1,
+    where an edge counts only while it keeps two undeleted vertices."""
+    alive = set(range(h.n))
+    while True:
+        live = [e for e in h.edges if sum(v in alive for v in e) >= 2]
+        low = {v for v in alive if sum(v in e for e in live) <= 1}
+        if not low:
+            return alive, len(live)
+        alive -= low
+
+
+def _check_cycle_contract(h):
+    cycles = _all_cycles(h)
+    got = longest_berge_cycle(h)
+    every = all_longest_berge_cycles(h)
+    if not cycles:
+        assert got is None and every == []
+        return
+    top = max(len(vs) for vs, _ in cycles)
+    longest = sorted(c for c in cycles if len(c[0]) == top)
+    assert got is not None and (got.vertices, got.hyperedges) == longest[0], h
+    assert got.vertices[0] == min(got.vertices)
+    want = sorted(c for c in longest if c[0][1] < c[0][-1])
+    assert [(c.vertices, c.hyperedges) for c in every] == want, h
+    core, core_m = _peeled_core(h)
+    mask = sum(1 << v for v in core)
+    assert _cycle_core(h) == (mask, core_m), h
+    assert all(set(vs) <= core for vs, _ in longest), h
+
+
+def test_cycle_witness_contract_exhaustive_small():
+    # every labeled linear {2,3}-uniform hypergraph on at most 5 vertices
+    for n in range(1, 6):
+        enumerate_hypergraphs(CampaignParams(n=n, uniformity="23"),
+                              _check_cycle_contract)
+
+
+@pytest.mark.parametrize("uniformity", ["23", "3"])
+def test_cycle_witness_contract_random(uniformity):
+    for n in (6, 7, 8):
+        for i in range(40):
+            _check_cycle_contract(
+                random_linear(n, random.Random(f"contract:{n}:{i}"), uniformity))

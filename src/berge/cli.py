@@ -7,12 +7,14 @@ All verbs except ``construct`` emit a versioned JSON report::
 
 Identical commands (including seeds) produce byte-identical output except
 for the ``timing`` object.  Exit codes: 0 success/verified, 1 a theorem or
-structural-law violation was found, 2 usage or input errors.
+structural-law violation was found, 2 usage or input errors, 3 an exhausted
+resource (recursion depth or memory) stopped the command.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -55,12 +57,12 @@ def read_report(text: str) -> dict:
     return data
 
 
-def _emit(args, command: dict, result: dict, started: float) -> None:
+def _emit(args, command: dict, result: dict, seconds: float) -> None:
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "result": result,
-        "timing": {"seconds": round(time.perf_counter() - started, 6)},
+        "timing": {"seconds": round(seconds, 6)},
     }
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if getattr(args, "output", None):
@@ -87,7 +89,9 @@ _POSITIVE = _int_at_least(1)
 _NON_NEGATIVE = _int_at_least(0)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use."""
     top = argparse.ArgumentParser(
         prog="berge",
         description="Berge paths/cycles in linear {2,3}-uniform hypergraphs: "
@@ -170,7 +174,8 @@ def _run_shadow(args, started) -> int:
         "shadow_edges": sg.edge_count,
         "pairs": [list(p) for p in sg.pairs],
     }
-    _emit(args, {"verb": "shadow", "file": args.file}, result, started)
+    _emit(args, {"verb": "shadow", "file": args.file}, result,
+          time.perf_counter() - started)
     return 0
 
 
@@ -200,31 +205,31 @@ def _run_stats(args, started) -> int:
         "min_shadow_degree": min(sdegs) if sdegs else 0,
         "max_shadow_degree": max(sdegs) if sdegs else 0,
     }
-    _emit(args, {"verb": "stats", "file": args.file}, result, started)
+    _emit(args, {"verb": "stats", "file": args.file}, result,
+          time.perf_counter() - started)
     return 0
+
+
+def _witness_result(w) -> dict:
+    """Length and witness of a BergePath or BergeCycle, all None for None."""
+    return {
+        "length": None if w is None else w.length,
+        "witness_vertices": None if w is None else list(w.vertices),
+        "witness_edges": None if w is None else [list(e) for e in w.hyperedges],
+    }
 
 
 def _run_solve(args, started) -> int:
     h = load_hg(args.file)
     command = {"verb": "solve", "action": args.action, "file": args.file}
     if args.action == "longest-path":
-        p = longest_berge_path(h)
-        result = {
-            "length": None if p is None else p.length,
-            "witness_vertices": None if p is None else list(p.vertices),
-            "witness_edges": None if p is None else [list(e) for e in p.hyperedges],
-        }
+        result = _witness_result(longest_berge_path(h))
     elif args.action == "circumference":
-        c = longest_berge_cycle(h)
-        result = {
-            "length": None if c is None else c.length,
-            "witness_vertices": None if c is None else list(c.vertices),
-            "witness_edges": None if c is None else [list(e) for e in c.hyperedges],
-        }
+        result = _witness_result(longest_berge_cycle(h))
     else:
         command["k"] = args.k
         result = {"k": args.k, "found": has_berge_path(h, args.k)}
-    _emit(args, command, result, started)
+    _emit(args, command, result, time.perf_counter() - started)
     return 0
 
 
@@ -240,7 +245,7 @@ def _run_check(args, started) -> int:
             "checked_pairs": 0,
             "violations": [],
         }
-        _emit(args, command, result, started)
+        _emit(args, command, result, time.perf_counter() - started)
         return 0
     ctx = CycleContext.from_cycle(h, cyc)
     violations = []
@@ -267,11 +272,11 @@ def _run_check(args, started) -> int:
         "checked_pairs": len(pairs),
         "violations": violations,
     }
-    _emit(args, command, result, started)
+    _emit(args, command, result, time.perf_counter() - started)
     return 0 if not violations else 1
 
 
-def _run_verify(args, started) -> int:
+def _run_verify(args) -> int:
     if args.action == "theorem-uniform":
         report = verify_theorem_uniform(args.n, args.k, jobs=args.jobs,
                                         witness_limit=args.witness_limit)
@@ -297,18 +302,7 @@ def _run_verify(args, started) -> int:
             path = os.path.join(args.witness_dir, f"witness_{i:03d}.hg")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(payload)
-    report_out = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "result": result,
-        "timing": {"seconds": runtime},
-    }
-    text = json.dumps(report_out, sort_keys=True, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, command, result, runtime)
     return 0 if report.holds else 1
 
 
@@ -328,7 +322,7 @@ def main(argv=None) -> int:
         if args.verb == "check":
             return _run_check(args, started)
         if args.verb == "verify":
-            return _run_verify(args, started)
+            return _run_verify(args)
     except BergeError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 2
@@ -338,6 +332,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error [usage]: {exc}", file=sys.stderr)
         return 2
+    except (RecursionError, MemoryError) as exc:
+        print(f"error [resource]: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     raise AssertionError(f"unhandled verb {args.verb}")
 
 

@@ -27,6 +27,16 @@ cycle length, so the search stops at the first cycle of that length.  Both
 cuts remove only branches that cannot beat the current best, so the
 witness and the set of longest cycles are those of the unpruned search.
 
+``longest_berge_path`` and ``has_berge_path`` share one path search.  At a
+tip w it takes the reach R of w's free neighbours and the *live* edges:
+those with at least two vertices in {w} ∪ R, minus the last edge used.
+Every later step uses a distinct live edge (by linearity an earlier edge
+has at most one vertex in {w} ∪ R), and every later vertex but the last
+lies in two of them.  So the branch is cut when the path length plus the
+number of live edges, or plus the number of R-vertices in two live edges
+(one more if some R-vertex is in fewer), cannot beat the best length so
+far.  This bound is never looser than |R|.
+
 ``oracle_longest_path`` / ``oracle_longest_cycle`` are deliberately slow,
 structurally different cross-checks: they enumerate injective vertex
 sequences and decide hyperedge assignment by bipartite matching, which also
@@ -116,6 +126,15 @@ def _view(h: LinearHypergraph):
     return adj, cover
 
 
+def _incidence(h: LinearHypergraph) -> list[int]:
+    """Per-vertex bitmask of the indices of the hyperedges containing it."""
+    inc = [0] * h.n
+    for idx, e in enumerate(h.edges):
+        for v in e:
+            inc[v] |= 1 << idx
+    return inc
+
+
 def _reach(adj, start_mask: int, blocked: int) -> int:
     """Vertices reachable from ``start_mask`` without entering ``blocked``."""
     reach = 0
@@ -143,13 +162,36 @@ def longest_berge_path(h: LinearHypergraph) -> BergePath | None:
     witness of the final maximum is returned, which makes it the
     lexicographically smallest maximum-length vertex sequence.
     """
-    n, m = h.n, h.m
-    if n == 0:
+    if h.n == 0:
         return None
+    return (_path_search(h, 0, min(h.n - 1, h.m))
+            or BergePath(vertices=(0,), hyperedges=()))
+
+
+def has_berge_path(h: LinearHypergraph, k: int) -> bool:
+    """True iff a Berge path of length >= k exists; early exit at depth k."""
+    if k < 0:
+        raise ValueError(f"path length must be non-negative, got {k}")
+    if k == 0:
+        return h.n >= 1
+    if k > h.n - 1 or k > h.m:
+        return False
+    return _path_search(h, k - 1, k) is not None
+
+
+def _path_search(h: LinearHypergraph, floor: int, ub: int) -> BergePath | None:
+    """The first-found path of the largest length in (floor, ub], or None.
+
+    Vertices are tried in ascending order and only strict improvements are
+    recorded; both cuts (see the module docstring) remove only branches that
+    cannot beat the current best, so the witness is that of the unpruned
+    search.
+    """
+    n = h.n
     adj, cover = _view(h)
-    ub = min(n - 1, m)
-    best_len = 0
-    best: tuple[tuple[int, ...], tuple[int, ...]] = ((0,), ())
+    inc = _incidence(h)
+    best_len = floor
+    best = None
     path = [0]
     covs: list[int] = []
 
@@ -164,11 +206,40 @@ def longest_berge_path(h: LinearHypergraph) -> BergePath | None:
         free = adj[w] & ~vis
         if not free:
             return False
-        remaining = min(n - len(path), m - lp)
-        if lp + remaining <= best_len:
+        # BFS over the reach of w's free neighbours; `two` collects the
+        # edges with at least two vertices in {w} | reach
+        reach = 0
+        one, two = inc[w], 0
+        frontier = free
+        while frontier:
+            reach |= frontier
+            nxt = 0
+            f = frontier
+            while f:
+                low = f & -f
+                v = low.bit_length() - 1
+                nxt |= adj[v]
+                e = inc[v]
+                two |= one & e
+                one |= e
+                f ^= low
+            frontier = nxt & ~vis & ~reach
+        if cprev >= 0:
+            two &= ~(1 << cprev)
+        need = best_len - lp  # the rest of the path must exceed this
+        if two.bit_count() <= need:
             return False
-        r = _reach(adj, free, vis)
-        if lp + r.bit_count() <= best_len:
+        inner = end = 0
+        f = reach
+        while f and inner + end <= need:
+            low = f & -f
+            d = inc[low.bit_length() - 1] & two
+            if d & (d - 1):
+                inner += 1
+            else:
+                end = 1
+            f ^= low
+        if inner + end <= need:
             return False
         msk = free
         while msk:
@@ -191,39 +262,11 @@ def longest_berge_path(h: LinearHypergraph) -> BergePath | None:
         if best_len >= ub:
             break
         path[0] = s
-        if ext(s, -1, 1 << s):
-            break
+        ext(s, -1, 1 << s)
+    if best is None:
+        return None
     vs, cs = best
     return BergePath(vertices=vs, hyperedges=tuple(h.edges[c] for c in cs))
-
-
-def has_berge_path(h: LinearHypergraph, k: int) -> bool:
-    """True iff a Berge path of length >= k exists; early exit at depth k."""
-    if k < 0:
-        raise ValueError(f"path length must be non-negative, got {k}")
-    if k == 0:
-        return h.n >= 1
-    n, m = h.n, h.m
-    if k > n - 1 or k > m:
-        return False
-    adj, cover = _view(h)
-
-    def ext(w: int, cprev: int, vis: int, need: int, slots: int) -> bool:
-        if need <= 0:
-            return True
-        if need > slots:
-            return False
-        msk = adj[w] & ~vis
-        while msk:
-            low = msk & -msk
-            x = low.bit_length() - 1
-            msk ^= low
-            c = cover[w * n + x]
-            if c != cprev and ext(x, c, vis | low, need - 1, slots - 1):
-                return True
-        return False
-
-    return any(ext(s, -1, 1 << s, k, n - 1) for s in range(n))
 
 
 # ---------------------------------------------------------------------------

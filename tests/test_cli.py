@@ -211,3 +211,35 @@ def test_stats_degrees(tmp_path, capsys):
         "min_degree": 0, "max_degree": 2,
         "min_shadow_degree": 0, "max_shadow_degree": 3,
     }
+
+
+@pytest.mark.parametrize("argv,edges", [
+    (["solve", "longest-path"], "path"),
+    (["solve", "has-path", "--k", "1499"], "path"),
+    (["solve", "circumference"], "cycle"),
+])
+def test_recursion_limit_exits_3(tmp_path, capsys, argv, edges):
+    # 1,500 vertices already exceed the default recursion limit of the DFS
+    n = 1500
+    pairs = [(i, i + 1) for i in range(n - 1)]
+    if edges == "cycle":
+        pairs.append((0, n - 1))
+    f = tmp_path / "long.hg"
+    f.write_text(f"{n} {len(pairs)}\n" + "".join(f"{a} {b}\n" for a, b in pairs))
+    assert main(argv[:2] + [str(f)] + argv[2:]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error [resource]: RecursionError" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
+    def exhausted(h):
+        raise MemoryError
+
+    monkeypatch.setattr("berge.cli.longest_berge_path", exhausted)
+    f = tmp_path / "t.hg"
+    f.write_text("3 1\n0 1 2\n")
+    assert main(["solve", "longest-path", str(f)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error [resource]: MemoryError" in captured.err

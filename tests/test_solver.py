@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -208,16 +210,65 @@ def _all_max_paths(h):
     return best[0], sorted(found)
 
 
+def _check_path_contract(h):
+    """The witness is the lex-least maximum vertex sequence, and has-path
+    answers k <= L for every k up to n + 1."""
+    if h.n == 0:
+        assert longest_berge_path(h) is None
+        return
+    length, all_max = _all_max_paths(h)
+    got = longest_berge_path(h)
+    assert got.length == length and got.vertices == all_max[0], h
+    assert is_valid_berge_path(h, got), h
+    for k in range(h.n + 2):
+        assert has_berge_path(h, k) == (k <= length), (h, k)
+
+
 def test_witness_is_lexicographic_minimum():
     # the returned maximum path is the lex-least maximum vertex sequence
     for i in range(80):
-        h = random_linear(5, random.Random(f"lex:{i}"))
-        if h.n == 0:
-            continue
-        length, all_max = _all_max_paths(h)
-        got = longest_berge_path(h)
-        assert got.length == length
-        assert got.vertices == all_max[0]
+        _check_path_contract(random_linear(5, random.Random(f"lex:{i}")))
+
+
+def test_path_contract_exhaustive_small():
+    # every labeled linear {2,3}-uniform hypergraph on at most 5 vertices
+    for n in range(1, 6):
+        enumerate_hypergraphs(CampaignParams(n=n, uniformity="23"),
+                              _check_path_contract)
+
+
+@pytest.mark.parametrize("uniformity", ["23", "3"])
+def test_path_contract_random(uniformity):
+    for n in (6, 7, 8):
+        for i in range(40):
+            _check_path_contract(
+                random_linear(n, random.Random(f"path:{n}:{i}"), uniformity))
+
+
+def _sparse_linear(n, rng):
+    """Random linear {2,3}-uniform hypergraph with 0.4n to 0.8n edges."""
+    target = rng.randint(2 * n // 5, 4 * n // 5)
+    covered, edges = set(), []
+    while len(edges) < target:
+        e = tuple(sorted(rng.sample(range(n), rng.choice((2, 3)))))
+        pairs = set(itertools.combinations(e, 2))
+        if not pairs & covered:
+            covered |= pairs
+            edges.append(e)
+    return validate(n, edges)
+
+
+def test_sparse_path_answers_pinned():
+    # witnesses and has-path answers around L on sparse instances with
+    # n = 16..30, pinned from the unpruned path search
+    rows = []
+    for i in range(40):
+        h = _sparse_linear(16 + i % 15, random.Random(f"sparse:{i}"))
+        p = longest_berge_path(h)
+        ks = range(p.length - 1, p.length + 3)
+        rows.append((p.vertices, p.hyperedges, [has_berge_path(h, k) for k in ks]))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "1d94fdfd04abb83694fccdcee17d26e657892c8ecd8a7516aa07f666d787d4ff"
 
 
 def _all_cycles(h):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -30,15 +31,7 @@ from .enumeration import (
 from .errors import BergeError, FormatError
 from .hypergraph import components, format_hg, load_hg, shadow
 from .solver import has_berge_path, longest_berge_cycle, longest_berge_path
-from .structure import (
-    CycleContext,
-    check_claim_plus,
-    check_claim_plus_plus,
-    check_claim_triple,
-    off_cycle_triples,
-    off_cycle_vertices,
-    sharing_pairs,
-)
+from .structure import CycleContext, check_laws
 
 SCHEMA_VERSION = "1"
 _REPORT_KEYS = {"schema_version", "command", "result", "timing"}
@@ -238,42 +231,20 @@ def _run_check(args, started) -> int:
     command = {"verb": "check", "action": "claims", "file": args.file}
     cyc = longest_berge_cycle(h)
     if cyc is None:
+        result = {"cycle_length": None, "checked_vertices": 0,
+                  "checked_triples": 0, "checked_pairs": 0, "violations": []}
+    else:
+        found, vertices, triples, pairs = check_laws(h, CycleContext.from_cycle(h, cyc))
         result = {
-            "cycle_length": None,
-            "checked_vertices": 0,
-            "checked_triples": 0,
-            "checked_pairs": 0,
-            "violations": [],
+            "cycle_length": cyc.length,
+            "cycle_vertices": list(cyc.vertices),
+            "checked_vertices": vertices,
+            "checked_triples": triples,
+            "checked_pairs": pairs,
+            "violations": [v.as_dict() for v in found],
         }
-        _emit(args, command, result, time.perf_counter() - started)
-        return 0
-    ctx = CycleContext.from_cycle(h, cyc)
-    violations = []
-    off = off_cycle_vertices(h, ctx)
-    for u in off:
-        v = check_claim_plus(h, ctx, u)
-        if v is not None:
-            violations.append(v.as_dict())
-    triples = off_cycle_triples(h, ctx)
-    for t in triples:
-        v = check_claim_plus_plus(h, ctx, t)
-        if v is not None:
-            violations.append(v.as_dict())
-    pairs = sharing_pairs(triples)
-    for e1, e2 in pairs:
-        v = check_claim_triple(h, ctx, e1, e2)
-        if v is not None:
-            violations.append(v.as_dict())
-    result = {
-        "cycle_length": cyc.length,
-        "cycle_vertices": list(cyc.vertices),
-        "checked_vertices": len(off),
-        "checked_triples": len(triples),
-        "checked_pairs": len(pairs),
-        "violations": violations,
-    }
     _emit(args, command, result, time.perf_counter() - started)
-    return 0 if not violations else 1
+    return 1 if result["violations"] else 0
 
 
 def _run_verify(args) -> int:
@@ -295,8 +266,6 @@ def _run_verify(args) -> int:
     result.pop("params")
     runtime = result.pop("runtime_seconds")
     if getattr(args, "witness_dir", None) and report.extremal_witnesses:
-        import os
-
         os.makedirs(args.witness_dir, exist_ok=True)
         for i, payload in enumerate(report.extremal_witnesses):
             path = os.path.join(args.witness_dir, f"witness_{i:03d}.hg")

@@ -15,8 +15,12 @@ walkers ride this DFS and keep their expensive state incremental:
   when the cycle context is inherited; on a context change everything is
   re-checked.
 
-Work is split across processes at a fixed prefix depth of the DFS; partial
-results merge commutatively, so reports are identical for any job count.
+Every campaign runs through one driver (``_run_campaign``): ``run_top``
+does the work above a fixed DFS prefix depth and returns the work units
+below it (DFS prefixes, or slices of sample indices for random
+campaigns), and ``run_prefix`` runs one unit, serially or in a process
+pool.  Partial results merge commutatively, so reports are identical for
+any job count.
 """
 
 from __future__ import annotations
@@ -26,24 +30,14 @@ import itertools
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from multiprocessing import Pool
 
 from .errors import CapExceededError
 from .hypergraph import Edge, LinearHypergraph, format_hg
-from .solver import all_longest_berge_cycles, longest_berge_cycle
-from .structure import (
-    CycleContext,
-    check_claim_plus,
-    check_claim_plus_plus,
-    check_claim_triple,
-    claim_pair_hit,
-    claim_plus_hit,
-    off_cycle_triples,
-    off_cycle_vertices,
-    sharing_pairs,
-)
+from .solver import BergeCycle, all_longest_berge_cycles, longest_berge_cycle
+from .structure import CycleContext, check_laws, claim_pair_hit, claim_plus_hit
 
 DEFAULT_SEED = 1729
 EXHAUSTIVE_CAP_MIXED = 7
@@ -52,46 +46,41 @@ RANDOM_CAP = 12
 ISO_CAP = 8
 TINY_ALL_CYCLES = 5   # below this, structural laws run on every longest cycle
 _SPLIT_DEPTH = 3      # DFS prefix depth at which parallel work units start
+_SAMPLE_SLICE = 32    # random samples per work unit
 CAP_ENV_VAR = "HX_CAP_N"
 
 
-def _cap_override(default: int) -> int:
+def _check_cap(n: int, scope: str) -> None:
+    """Refuse ``n`` above the cap of ``scope``: "3" or "23" for exhaustive
+    walks of that uniformity, "random" for sampling.  The ``HX_CAP_N``
+    environment variable overrides every cap."""
+    default = {"3": EXHAUSTIVE_CAP_3ONLY, "23": EXHAUSTIVE_CAP_MIXED,
+               "random": RANDOM_CAP}[scope]
     raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return default
     try:
-        return int(raw)
+        cap = default if raw is None else int(raw)
     except ValueError:
         raise CapExceededError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
-
-
-def exhaustive_cap(uniformity: str) -> int:
-    return _cap_override(
-        EXHAUSTIVE_CAP_3ONLY if uniformity == "3" else EXHAUSTIVE_CAP_MIXED
-    )
+    if n > cap:
+        kind = "random" if scope == "random" else "exhaustive"
+        raise CapExceededError(
+            f"{kind} campaign capped at n <= {cap} "
+            f"(override with {CAP_ENV_VAR}); got n = {n}"
+        )
 
 
 @dataclass(frozen=True)
 class CampaignParams:
-    """Scope of one verification campaign."""
+    """Scope of an exhaustive enumeration."""
 
     n: int
-    k: int | None = None
     uniformity: str = "23"          # "3" or "23"
-    mode: str = "exhaustive"        # "exhaustive" or "random"
-    samples: int | None = None
-    seed: int = DEFAULT_SEED
-    dedup: bool = False
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
         if self.uniformity not in ("3", "23"):
             raise ValueError(f"uniformity must be '3' or '23', got {self.uniformity!r}")
-        if self.mode not in ("exhaustive", "random"):
-            raise ValueError(f"mode must be 'exhaustive' or 'random', got {self.mode!r}")
-        if self.mode == "random" and (self.samples is None or self.samples < 1):
-            raise ValueError("random mode needs samples >= 1")
 
 
 @dataclass
@@ -121,19 +110,10 @@ class VerificationReport:
         return not self.violations
 
     def as_dict(self) -> dict:
-        out = {"params": self.params, "holds": self.holds}
-        for key in (
-            "instances_checked", "bp_free_count", "max_hyperedges",
-            "max_shadow_edges", "bound_value", "extremal_witnesses",
-            "extremal_class_count", "extremal_matches_family",
-            "cyclic_instances", "acyclic_instances", "cycle_length_histogram",
-            "checked_vertices", "checked_triples", "checked_pairs",
-        ):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        out["violations"] = self.violations
-        out["runtime_seconds"] = self.runtime_seconds
+        """Every field that is set, plus ``holds``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if getattr(self, f.name) is not None}
+        out["holds"] = self.holds
         return out
 
 
@@ -225,9 +205,6 @@ class _Walk:
 
     def payload(self) -> str:
         return format_hg(self.snapshot())
-
-    def cover_at(self, u: int, v: int) -> int:
-        return self.cover[u * self.n + v]
 
 
 # ---------------------------------------------------------------------------
@@ -356,53 +333,21 @@ def _cycle_through(w: _Walk, j: int, lower: int):
 # ---------------------------------------------------------------------------
 
 def enumerate_hypergraphs(params: CampaignParams, visitor=None) -> int:
-    """Visit linear hypergraphs in scope; returns the number visited.
+    """Visit every labeled linear hypergraph in scope; returns the number
+    visited.
 
-    Exhaustive labeled mode visits every hypergraph exactly once, in
-    strictly increasing lexicographic edge-set order; the visitor may
-    return False to skip all supersets of the current instance.  Dedup
-    mode visits one representative (the canonically least labeling) per
-    isomorphism class; return values are ignored there, as a class
-    representative's subsets need not be representatives.  Random mode
-    visits ``samples`` seeded random instances.
+    Instances come exactly once each, in strictly increasing lexicographic
+    edge-set order; the visitor may return False to skip all supersets of
+    the current instance.
     """
-    n = params.n
-    if params.mode == "random":
-        count = 0
-        for i in range(params.samples):
-            h = random_linear(n, random.Random(f"{params.seed}:{i}"),
-                              uniformity=params.uniformity)
-            if visitor is not None:
-                visitor(h)
-            count += 1
-        return count
-    cap = exhaustive_cap(params.uniformity)
-    if n > cap:
-        raise CapExceededError(
-            f"exhaustive enumeration capped at n <= {cap} "
-            f"(override with {CAP_ENV_VAR}); got n = {n}"
-        )
-    iso_cap = _cap_override(ISO_CAP)
-    if params.dedup and n > iso_cap:
-        raise CapExceededError(f"isomorphism dedup capped at n <= {iso_cap}")
-    w = _Walk(n, params.uniformity)
+    _check_cap(params.n, params.uniformity)
+    w = _Walk(params.n, params.uniformity)
     count = 0
 
     def rec(start: int) -> None:
         nonlocal count
-        h = w.snapshot()
-        if params.dedup:
-            if _encode(h) == canonical_form(h, cap=iso_cap):
-                count += 1
-                if visitor is not None:
-                    visitor(h)
-            extend = True
-        else:
-            count += 1
-            extend = True
-            if visitor is not None:
-                extend = visitor(h) is not False
-        if not extend:
+        count += 1
+        if visitor is not None and visitor(w.snapshot()) is False:
             return
         for j in range(start, w.C):
             if w.compatible(j):
@@ -429,10 +374,6 @@ def random_linear(n: int, rng: random.Random, uniformity: str = "23") -> LinearH
             chosen.append(i)
     chosen.sort()   # candidate order is lexicographic
     return LinearHypergraph(n=n, edges=tuple(cands[i] for i in chosen))
-
-
-def _encode(h: LinearHypergraph) -> bytes:
-    return repr((h.n, h.edges)).encode()
 
 
 def canonical_form(h: LinearHypergraph, cap: int = ISO_CAP) -> bytes:
@@ -466,6 +407,46 @@ def canonical_form(h: LinearHypergraph, cap: int = ISO_CAP) -> bytes:
         if best is None or edges < best:
             best = edges
     return repr((h.n, best)).encode()
+
+
+# ---------------------------------------------------------------------------
+# campaign driver
+# ---------------------------------------------------------------------------
+
+# the campaign of a pool worker, built once per process by _worker_init
+_WORKER: dict = {}
+
+
+def _worker_init(spec):
+    factory, args = spec
+    _WORKER["campaign"] = factory(*args)
+
+
+def _worker_run(unit):
+    return _WORKER["campaign"].run_prefix(unit)
+
+
+def _run_campaign(spec, jobs: int | None):
+    """Build the campaign ``factory(*args)`` of ``spec = (factory, args)``,
+    call its ``run_top``, then ``run_prefix`` on each work unit, on ``jobs``
+    processes (default: one per CPU), merging every partial accumulator
+    into the top's.  Returns the campaign and the merged accumulator."""
+    factory, args = spec
+    camp = factory(*args)
+    acc, units = camp.run_top(_SPLIT_DEPTH)
+    if not units:
+        return camp, acc
+    if jobs is None:
+        jobs = os.cpu_count() or 1
+    if jobs <= 1:
+        for unit in units:
+            acc.merge(camp.run_prefix(unit))
+        return camp, acc
+    chunk = max(1, len(units) // (jobs * 16))
+    with Pool(processes=jobs, initializer=_worker_init, initargs=(spec,)) as pool:
+        for part in pool.imap_unordered(_worker_run, units, chunksize=chunk):
+            acc.merge(part)
+    return camp, acc
 
 
 # ---------------------------------------------------------------------------
@@ -603,67 +584,43 @@ class _BoundCampaign:
         return acc, units
 
 
-def _campaign_report(params_dict: dict, camp: _BoundCampaign, acc: _BoundAcc,
-                     uniformity: str, started: float,
-                     family=None) -> VerificationReport:
-    witnesses = sorted(acc.witnesses)[: camp.witness_limit]
-    w = camp.walk
+# perfbench/tracing.py builds bound campaigns under this name
+_make_bound_campaign = _BoundCampaign
+
+
+def _verify_bound(campaign: str, n: int, k: int, uniformity: str, metric: str,
+                  lhs: int, rhs: int, jobs: int | None, witness_limit: int,
+                  collect_classes: bool = False, family=None) -> VerificationReport:
+    """Run one bound campaign and build its report; ``family(n)``, when
+    given, is the extremal family the classes are compared with."""
+    _check_cap(n, uniformity)
+    started = time.perf_counter()
+    spec = (_BoundCampaign,
+            (n, k, uniformity, metric, lhs, rhs, collect_classes, witness_limit))
+    camp, acc = _run_campaign(spec, jobs)
+    witnesses = sorted(acc.witnesses)[:witness_limit]
 
     def instance_of(stack: tuple) -> LinearHypergraph:
-        return LinearHypergraph(n=camp.n, edges=tuple(w.cands[j] for j in stack))
+        return LinearHypergraph(n=n, edges=tuple(camp.walk.cands[j] for j in stack))
 
     report = VerificationReport(
-        params=params_dict,
+        params={"campaign": campaign, "n": n, "k": k, "uniformity": uniformity,
+                "mode": "exhaustive"},
         instances_checked=acc.visited,
         bp_free_count=acc.free,
+        max_hyperedges=acc.max_edges if uniformity == "3" else None,
         max_shadow_edges=acc.max_shadow,
-        bound_value=str(Fraction(camp.bound_rhs, camp.bound_lhs)),
+        bound_value=str(Fraction(rhs, lhs)),
         extremal_witnesses=[format_hg(instance_of(s)) for s in witnesses],
         violations=sorted(acc.violations, key=lambda v: v["instance"]),
         runtime_seconds=round(time.perf_counter() - started, 6),
     )
-    if uniformity == "3":
-        report.max_hyperedges = acc.max_edges
     if acc.ties is not None:
         classes = {canonical_form(instance_of(s)) for s in acc.ties}
         report.extremal_class_count = len(classes)
         if family is not None:
-            report.extremal_matches_family = classes == {canonical_form(family)}
+            report.extremal_matches_family = classes == {canonical_form(family(n))}
     return report
-
-
-# worker-side globals (set once per process by the pool initializer)
-_WORKER: dict = {}
-
-
-def _bound_worker_init(spec):
-    _WORKER["campaign"] = _make_bound_campaign(*spec)
-
-
-def _bound_worker_run(prefix):
-    return _WORKER["campaign"].run_prefix(prefix)
-
-
-def _make_bound_campaign(n, k, uniformity, metric, lhs, rhs, collect, limit):
-    return _BoundCampaign(n, k, uniformity, metric, lhs, rhs, collect, limit)
-
-
-def _run_bound_campaign(spec, jobs) -> tuple[_BoundCampaign, _BoundAcc]:
-    camp = _make_bound_campaign(*spec)
-    acc, units = camp.run_top(_SPLIT_DEPTH)
-    if not units:
-        return camp, acc
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs <= 1:
-        for prefix in units:
-            acc.merge(camp.run_prefix(prefix))
-        return camp, acc
-    chunk = max(1, len(units) // (jobs * 16))
-    with Pool(processes=jobs, initializer=_bound_worker_init, initargs=(spec,)) as pool:
-        for part in pool.imap_unordered(_bound_worker_run, units, chunksize=chunk):
-            acc.merge(part)
-    return camp, acc
 
 
 def verify_theorem_uniform(n: int, k: int, jobs: int | None = None,
@@ -672,15 +629,8 @@ def verify_theorem_uniform(n: int, k: int, jobs: int | None = None,
     with no Berge path of length k, checked against 6*e(H) <= (k-1)*n."""
     if k < 4:
         raise ValueError(f"this bound needs k >= 4, got {k}")
-    _check_campaign_cap(n, "3")
-    started = time.perf_counter()
-    spec = (n, k, "3", "edges", 6, (k - 1) * n, False, witness_limit)
-    params = {"campaign": "theorem-uniform", "n": n, "k": k, "uniformity": "3",
-              "mode": "exhaustive"}
-    camp, acc = _run_bound_campaign(spec, jobs)
-    report = _campaign_report(params, camp, acc, "3", started)
-    report.max_hyperedges = acc.max_edges
-    return report
+    return _verify_bound("theorem-uniform", n, k, "3", "edges", 6, (k - 1) * n,
+                         jobs, witness_limit)
 
 
 def verify_theorem_shadow(n: int, k: int, jobs: int | None = None,
@@ -689,13 +639,8 @@ def verify_theorem_shadow(n: int, k: int, jobs: int | None = None,
     with no Berge path of length k, checked against 2*e(∂H) <= (k-1)*n."""
     if k < 4:
         raise ValueError(f"this bound needs k >= 4, got {k}")
-    _check_campaign_cap(n, "23")
-    started = time.perf_counter()
-    spec = (n, k, "23", "shadow", 2, (k - 1) * n, False, witness_limit)
-    params = {"campaign": "theorem-shadow", "n": n, "k": k, "uniformity": "23",
-              "mode": "exhaustive"}
-    camp, acc = _run_bound_campaign(spec, jobs)
-    return _campaign_report(params, camp, acc, "23", started)
+    return _verify_bound("theorem-shadow", n, k, "23", "shadow", 2, (k - 1) * n,
+                         jobs, witness_limit)
 
 
 def verify_remark(n: int, k: int, jobs: int | None = None,
@@ -712,33 +657,14 @@ def verify_remark(n: int, k: int, jobs: int | None = None,
 
     if k not in (1, 2, 3):
         raise ValueError(f"the short-path cases cover k in {{1,2,3}}, got {k}")
-    _check_campaign_cap(n, "23")
-    started = time.perf_counter()
-    if k == 1:
-        lhs, rhs = 1, 0
-    elif k == 2:
-        lhs, rhs = 1, n
-    else:
-        lhs, rhs = 2, 3 * (n - 1)
+    lhs, rhs = {1: (1, 0), 2: (1, n), 3: (2, 3 * (n - 1))}[k]
     family = None
     if k == 2 and n % 3 == 0:
-        family = constructions.matching_k2(n)
+        family = constructions.matching_k2
     elif k == 3 and n % 2 == 1 and n >= 3:
-        family = constructions.star_k3(n)
-    spec = (n, k, "23", "shadow", lhs, rhs, True, witness_limit)
-    params = {"campaign": "remark", "n": n, "k": k, "uniformity": "23",
-              "mode": "exhaustive"}
-    camp, acc = _run_bound_campaign(spec, jobs)
-    return _campaign_report(params, camp, acc, "23", started, family=family)
-
-
-def _check_campaign_cap(n: int, uniformity: str):
-    cap = exhaustive_cap(uniformity)
-    if n > cap:
-        raise CapExceededError(
-            f"exhaustive campaign capped at n <= {cap} "
-            f"(override with {CAP_ENV_VAR}); got n = {n}"
-        )
+        family = constructions.star_k3
+    return _verify_bound("remark", n, k, "23", "shadow", lhs, rhs, jobs,
+                         witness_limit, collect_classes=True, family=family)
 
 
 # ---------------------------------------------------------------------------
@@ -767,6 +693,15 @@ class _ClaimsAcc:
         self.triples += other.triples
         self.pairs += other.pairs
         self.violations.extend(other.violations)
+
+    def object_laws(self, h: LinearHypergraph, cycle: BergeCycle) -> list:
+        """Object-level laws around one oriented cycle: counts the checks
+        and returns the violations."""
+        found, vertices, triples, pairs = check_laws(h, CycleContext.from_cycle(h, cycle))
+        self.vertices += vertices
+        self.triples += triples
+        self.pairs += pairs
+        return found
 
 
 class _ClaimsCampaign:
@@ -928,8 +863,7 @@ class _ClaimsCampaign:
             return
         for cyc in cycles:
             for oriented in (cyc, _reverse_cycle(cyc)):
-                cctx = CycleContext.from_cycle(h, oriented)
-                for v in _object_violations(h, cctx, acc):
+                for v in acc.object_laws(h, oriented):
                     self._record(acc, ctx, v.kind, v.us, v.condition)
 
     def descend(self, acc: _ClaimsAcc, start: int, ctx,
@@ -997,8 +931,6 @@ class _ClaimsCampaign:
 
 
 def _reverse_cycle(cyc):
-    from .solver import BergeCycle
-
     vs = cyc.vertices
     es = cyc.hyperedges
     return BergeCycle(
@@ -1007,58 +939,41 @@ def _reverse_cycle(cyc):
     )
 
 
-def _object_violations(h: LinearHypergraph, cctx: CycleContext, acc: _ClaimsAcc):
-    """All object-level law checks for one oriented cycle context."""
-    out = []
-    for u in off_cycle_vertices(h, cctx):
-        acc.vertices += 1
-        v = check_claim_plus(h, cctx, u)
-        if v is not None:
-            out.append(v)
-    triples = off_cycle_triples(h, cctx)
-    for t in triples:
-        acc.triples += 1
-        v = check_claim_plus_plus(h, cctx, t)
-        if v is not None:
-            out.append(v)
-    for e1, e2 in sharing_pairs(triples):
-        acc.pairs += 1
-        v = check_claim_triple(h, cctx, e1, e2)
-        if v is not None:
-            out.append(v)
-    return out
+class _RandomClaimsCampaign:
+    """The structural laws on seeded random instances, around the exact
+    solver's longest cycle; a work unit is a slice of sample indices."""
 
+    def __init__(self, n: int, samples: int, seed: int):
+        self.n = n
+        self.samples = samples
+        self.seed = seed
 
-def _claims_worker_init(spec):
-    _WORKER["claims"] = _ClaimsCampaign(spec)
+    def run_top(self, depth_cap: int) -> tuple[_ClaimsAcc, list]:
+        # no work above the split: every sample lies in some unit
+        units = [(lo, min(lo + _SAMPLE_SLICE, self.samples))
+                 for lo in range(0, self.samples, _SAMPLE_SLICE)]
+        return _ClaimsAcc(self.n), units
 
-
-def _claims_worker_run(prefix):
-    return _WORKER["claims"].run_prefix(prefix)
-
-
-def _random_claims_slice(args) -> _ClaimsAcc:
-    n, seed, lo, hi = args
-    acc = _ClaimsAcc(n)
-    for i in range(lo, hi):
-        h = random_linear(n, random.Random(f"{seed}:{i}"))
-        acc.visited += 1
-        cyc = longest_berge_cycle(h)
-        if cyc is None:
-            continue
-        acc.cyclic += 1
-        acc.hist[cyc.length] += 1
-        cctx = CycleContext.from_cycle(h, cyc)
-        for v in _object_violations(h, cctx, acc):
-            acc.violations.append({
-                "kind": v.kind,
-                "vertices": list(v.us),
-                "cycle": list(cyc.vertices),
-                "condition": v.condition,
-                "sample_index": i,
-                "instance": format_hg(h),
-            })
-    return acc
+    def run_prefix(self, unit: tuple[int, int]) -> _ClaimsAcc:
+        acc = _ClaimsAcc(self.n)
+        for i in range(*unit):
+            h = random_linear(self.n, random.Random(f"{self.seed}:{i}"))
+            acc.visited += 1
+            cyc = longest_berge_cycle(h)
+            if cyc is None:
+                continue
+            acc.cyclic += 1
+            acc.hist[cyc.length] += 1
+            for v in acc.object_laws(h, cyc):
+                acc.violations.append({
+                    "kind": v.kind,
+                    "vertices": list(v.us),
+                    "cycle": list(cyc.vertices),
+                    "condition": v.condition,
+                    "sample_index": i,
+                    "instance": format_hg(h),
+                })
+        return acc
 
 
 def verify_claims(n: int, samples: int | None = None, seed: int = DEFAULT_SEED,
@@ -1066,48 +981,16 @@ def verify_claims(n: int, samples: int | None = None, seed: int = DEFAULT_SEED,
     """Structural-law campaign: exhaustive when ``samples`` is None,
     otherwise over seeded random instances (capped at n <= 12)."""
     started = time.perf_counter()
-    if jobs is None:
-        jobs = os.cpu_count() or 1
     if samples is None:
-        _check_campaign_cap(n, "23")
+        _check_cap(n, "23")
         params = {"campaign": "claims", "n": n, "mode": "exhaustive"}
-        camp = _ClaimsCampaign(n)
-        acc, units = camp.run_top(_SPLIT_DEPTH)
-        if units:
-            if jobs <= 1:
-                for prefix in units:
-                    acc.merge(camp.run_prefix(prefix))
-            else:
-                chunk = max(1, len(units) // (jobs * 16))
-                with Pool(processes=jobs, initializer=_claims_worker_init,
-                          initargs=(n,)) as pool:
-                    for part in pool.imap_unordered(_claims_worker_run, units,
-                                                    chunksize=chunk):
-                        acc.merge(part)
+        spec = (_ClaimsCampaign, (n,))
     else:
-        cap = _cap_override(RANDOM_CAP)
-        if n > cap:
-            raise CapExceededError(
-                f"random campaign capped at n <= {cap} "
-                f"(override with {CAP_ENV_VAR}); got n = {n}"
-            )
+        _check_cap(n, "random")
         params = {"campaign": "claims", "n": n, "mode": "random",
                   "samples": samples, "seed": seed}
-        slices = []
-        step = max(1, samples // max(jobs * 8, 1))
-        lo = 0
-        while lo < samples:
-            hi = min(samples, lo + step)
-            slices.append((n, seed, lo, hi))
-            lo = hi
-        acc = _ClaimsAcc(n)
-        if jobs <= 1:
-            for sl in slices:
-                acc.merge(_random_claims_slice(sl))
-        else:
-            with Pool(processes=jobs) as pool:
-                for part in pool.imap_unordered(_random_claims_slice, slices):
-                    acc.merge(part)
+        spec = (_RandomClaimsCampaign, (n, samples, seed))
+    _camp, acc = _run_campaign(spec, jobs)
     violations = sorted(
         acc.violations,
         key=lambda v: (v.get("sample_index", -1), v["instance"], v["kind"]),

@@ -433,21 +433,6 @@ def oracle_longest_path(h: LinearHypergraph, cap: int = ORACLE_CAP_N) -> int | N
     pair_edges = _pair_edge_table(h)
     best = 0
 
-    def sdr(pairs: list[tuple[int, int]]) -> bool:
-        matched: dict[int, int] = {}
-
-        def augment(i: int, banned: set[int]) -> bool:
-            for eidx in pair_edges.get(pairs[i], ()):
-                if eidx in banned:
-                    continue
-                banned.add(eidx)
-                if eidx not in matched or augment(matched[eidx], banned):
-                    matched[eidx] = i
-                    return True
-            return False
-
-        return all(augment(i, set()) for i in range(len(pairs)))
-
     def grow(seq: list[int], pairs: list[tuple[int, int]]) -> None:
         nonlocal best
         if len(seq) - 1 > best:
@@ -460,7 +445,7 @@ def oracle_longest_path(h: LinearHypergraph, cap: int = ORACLE_CAP_N) -> int | N
             if p not in pair_edges:
                 continue
             pairs.append(p)
-            if sdr(pairs):
+            if _sdr(pair_edges, pairs):
                 seq.append(w)
                 grow(seq, pairs)
                 seq.pop()
@@ -478,27 +463,12 @@ def oracle_longest_cycle(h: LinearHypergraph, cap: int = ORACLE_CAP_N) -> int | 
     pair_edges = _pair_edge_table(h)
     best = 0
 
-    def sdr(pairs: list[tuple[int, int]]) -> bool:
-        matched: dict[int, int] = {}
-
-        def augment(i: int, banned: set[int]) -> bool:
-            for eidx in pair_edges.get(pairs[i], ()):
-                if eidx in banned:
-                    continue
-                banned.add(eidx)
-                if eidx not in matched or augment(matched[eidx], banned):
-                    matched[eidx] = i
-                    return True
-            return False
-
-        return all(augment(i, set()) for i in range(len(pairs)))
-
     def grow(seq: list[int], pairs: list[tuple[int, int]]) -> None:
         nonlocal best
         s, last = seq[0], seq[-1]
         if len(seq) >= 3 and len(seq) > best:
             p = (last, s) if s > last else (s, last)
-            if p in pair_edges and sdr(pairs + [p]):
+            if p in pair_edges and _sdr(pair_edges, pairs + [p]):
                 best = len(seq)
         for w in range(s + 1, h.n):
             if w in seq:
@@ -507,7 +477,7 @@ def oracle_longest_cycle(h: LinearHypergraph, cap: int = ORACLE_CAP_N) -> int | 
             if p not in pair_edges:
                 continue
             pairs.append(p)
-            if sdr(pairs):
+            if _sdr(pair_edges, pairs):
                 seq.append(w)
                 grow(seq, pairs)
                 seq.pop()
@@ -516,6 +486,25 @@ def oracle_longest_cycle(h: LinearHypergraph, cap: int = ORACLE_CAP_N) -> int | 
     for s in range(h.n):
         grow([s], [])
     return best if best >= 3 else None
+
+
+def _sdr(pair_edges: dict[tuple[int, int], list[int]],
+         pairs: list[tuple[int, int]]) -> bool:
+    """Do the vertex pairs have distinct covering hyperedges?  Augmenting-path
+    bipartite matching of pairs to the edge indices in ``pair_edges``."""
+    matched: dict[int, int] = {}
+
+    def augment(i: int, banned: set[int]) -> bool:
+        for eidx in pair_edges.get(pairs[i], ()):
+            if eidx in banned:
+                continue
+            banned.add(eidx)
+            if eidx not in matched or augment(matched[eidx], banned):
+                matched[eidx] = i
+                return True
+        return False
+
+    return all(augment(i, set()) for i in range(len(pairs)))
 
 
 def _pair_edge_table(h: LinearHypergraph) -> dict[tuple[int, int], list[int]]:

@@ -283,6 +283,22 @@ def check_claim_triple(h: LinearHypergraph, ctx: CycleContext,
     return None
 
 
+def check_laws(h: LinearHypergraph, ctx: CycleContext) -> tuple[list[Violation], int, int, int]:
+    """Every structural law around one oriented cycle.
+
+    Returns the violations (vertex laws first, then hyperedge laws, then
+    sharing-pair laws) and the numbers of off-cycle vertices, off-cycle
+    triples and sharing pairs checked.
+    """
+    off = off_cycle_vertices(h, ctx)
+    triples = off_cycle_triples(h, ctx)
+    pairs = sharing_pairs(triples)
+    found = [check_claim_plus(h, ctx, u) for u in off]
+    found += [check_claim_plus_plus(h, ctx, t) for t in triples]
+    found += [check_claim_triple(h, ctx, e1, e2) for e1, e2 in pairs]
+    return [v for v in found if v is not None], len(off), len(triples), len(pairs)
+
+
 def off_cycle_vertices(h: LinearHypergraph, ctx: CycleContext) -> list[int]:
     return [v for v in range(h.n) if not ctx.on_cycle(v)]
 

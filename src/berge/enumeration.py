@@ -17,7 +17,7 @@ walkers ride this DFS and keep their expensive state incremental:
 
 Every campaign runs through one driver (``_run_campaign``): ``run_top``
 does the work above a fixed DFS prefix depth and returns the work units
-below it (DFS prefixes, or slices of sample indices for random
+below it (DFS prefixes, or single sample indices for random
 campaigns), and ``run_prefix`` runs one unit, serially or in a process
 pool.  Partial results merge commutatively, so reports are identical for
 any job count.
@@ -46,7 +46,6 @@ RANDOM_CAP = 12
 ISO_CAP = 8
 TINY_ALL_CYCLES = 5   # below this, structural laws run on every longest cycle
 _SPLIT_DEPTH = 3      # DFS prefix depth at which parallel work units start
-_SAMPLE_SLICE = 32    # random samples per work unit
 CAP_ENV_VAR = "HX_CAP_N"
 
 
@@ -941,7 +940,7 @@ def _reverse_cycle(cyc):
 
 class _RandomClaimsCampaign:
     """The structural laws on seeded random instances, around the exact
-    solver's longest cycle; a work unit is a slice of sample indices."""
+    solver's longest cycle; a work unit is one sample index."""
 
     def __init__(self, n: int, samples: int, seed: int):
         self.n = n
@@ -950,29 +949,26 @@ class _RandomClaimsCampaign:
 
     def run_top(self, depth_cap: int) -> tuple[_ClaimsAcc, list]:
         # no work above the split: every sample lies in some unit
-        units = [(lo, min(lo + _SAMPLE_SLICE, self.samples))
-                 for lo in range(0, self.samples, _SAMPLE_SLICE)]
-        return _ClaimsAcc(self.n), units
+        return _ClaimsAcc(self.n), list(range(self.samples))
 
-    def run_prefix(self, unit: tuple[int, int]) -> _ClaimsAcc:
+    def run_prefix(self, i: int) -> _ClaimsAcc:
         acc = _ClaimsAcc(self.n)
-        for i in range(*unit):
-            h = random_linear(self.n, random.Random(f"{self.seed}:{i}"))
-            acc.visited += 1
-            cyc = longest_berge_cycle(h)
-            if cyc is None:
-                continue
-            acc.cyclic += 1
-            acc.hist[cyc.length] += 1
-            for v in acc.object_laws(h, cyc):
-                acc.violations.append({
-                    "kind": v.kind,
-                    "vertices": list(v.us),
-                    "cycle": list(cyc.vertices),
-                    "condition": v.condition,
-                    "sample_index": i,
-                    "instance": format_hg(h),
-                })
+        h = random_linear(self.n, random.Random(f"{self.seed}:{i}"))
+        acc.visited += 1
+        cyc = longest_berge_cycle(h)
+        if cyc is None:
+            return acc
+        acc.cyclic += 1
+        acc.hist[cyc.length] += 1
+        for v in acc.object_laws(h, cyc):
+            acc.violations.append({
+                "kind": v.kind,
+                "vertices": list(v.us),
+                "cycle": list(cyc.vertices),
+                "condition": v.condition,
+                "sample_index": i,
+                "instance": format_hg(h),
+            })
         return acc
 
 

@@ -193,23 +193,7 @@ def test_vacuous_cases(fano, two_triples):
     assert check_claim_plus_plus(h, ctx2, (3, 4, 5)) is None
 
 
-def test_check_laws_runs_every_checker():
-    for i in range(300):
-        h = random_linear(9, random.Random(f"laws:{i}"))
-        c = longest_berge_cycle(h)
-        if c is None:
-            continue
-        for cyc in (c, BergeCycle(vertices=c.vertices[::-1],
-                                  hyperedges=(c.hyperedges[-2::-1] + c.hyperedges[-1:]))):
-            ctx = CycleContext.from_cycle(h, cyc)
-            off = off_cycle_vertices(h, ctx)
-            triples = off_cycle_triples(h, ctx)
-            pairs = sharing_pairs(triples)
-            want = ([check_claim_plus(h, ctx, u) for u in off]
-                    + [check_claim_plus_plus(h, ctx, t) for t in triples]
-                    + [check_claim_triple(h, ctx, a, b) for a, b in pairs])
-            assert check_laws(h, ctx) == ([v for v in want if v is not None],
-                                          len(off), len(triples), len(pairs))
+def test_check_laws_on_non_maximum_cycle():
     # a non-maximum cycle makes check_laws report what the checkers report
     h = validate(4, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3)])
     short = CycleContext.from_cycle(

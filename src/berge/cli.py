@@ -7,8 +7,9 @@ All verbs except ``construct`` emit a versioned JSON report::
 
 Identical commands (including seeds) produce byte-identical output except
 for the ``timing`` object.  Exit codes: 0 success/verified, 1 a theorem or
-structural-law violation was found, 2 usage or input errors, 3 an exhausted
-resource (recursion depth or memory) stopped the command.
+structural-law violation was found, 2 usage or input errors, 3 memory ran
+out.  (The solvers search on explicit stacks; a ``RecursionError`` is still
+reported as a resource error, as a guard.)
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .enumeration import (
     verify_theorem_uniform,
 )
 from .errors import BergeError, FormatError
-from .hypergraph import components, format_hg, load_hg, shadow
+from .hypergraph import edge_components, format_hg, load_hg, shadow
 from .solver import has_berge_path, longest_berge_cycle, longest_berge_path
 from .structure import CycleContext, check_laws
 
@@ -175,28 +176,31 @@ def _run_shadow(args, started) -> int:
 def _run_stats(args, started) -> int:
     h = load_hg(args.file)
     # one pass over the edges; by linearity every edge adds |e| - 1 shadow
-    # pairs at each of its vertices and C(|e|, 2) distinct shadow pairs
-    degs = [0] * h.n
-    sdegs = [0] * h.n
+    # pairs at each of its vertices and C(|e|, 2) distinct shadow pairs.
+    # Only touched vertices are stored: the rest have degree 0 and each is
+    # its own component, so a huge vertex count costs nothing.
+    degs: dict[int, int] = {}
+    sdegs: dict[int, int] = {}
     m2 = 0
     for e in h.edges:
         if len(e) == 2:
             m2 += 1
         for v in e:
-            degs[v] += 1
-            sdegs[v] += len(e) - 1
+            degs[v] = degs.get(v, 0) + 1
+            sdegs[v] = sdegs.get(v, 0) + len(e) - 1
     m3 = h.m - m2
+    isolated = h.n - len(degs)
     result = {
         "n": h.n,
         "m": h.m,
         "m2": m2,
         "m3": m3,
         "shadow_edges": m2 + 3 * m3,
-        "components": len(components(h)),
-        "min_degree": min(degs) if degs else 0,
-        "max_degree": max(degs) if degs else 0,
-        "min_shadow_degree": min(sdegs) if sdegs else 0,
-        "max_shadow_degree": max(sdegs) if sdegs else 0,
+        "components": len(edge_components(h)) + isolated,
+        "min_degree": 0 if isolated else min(degs.values(), default=0),
+        "max_degree": max(degs.values(), default=0),
+        "min_shadow_degree": 0 if isolated else min(sdegs.values(), default=0),
+        "max_shadow_degree": max(sdegs.values(), default=0),
     }
     _emit(args, {"verb": "stats", "file": args.file}, result,
           time.perf_counter() - started)

@@ -36,7 +36,12 @@ from multiprocessing import Pool
 
 from .errors import CapExceededError
 from .hypergraph import Edge, LinearHypergraph, format_hg
-from .solver import BergeCycle, all_longest_berge_cycles, longest_berge_cycle
+from .solver import (
+    BergeCycle,
+    _cycle_kernel,
+    all_longest_berge_cycles,
+    longest_berge_cycle,
+)
 from .structure import CycleContext, check_laws, claim_pair_hit, claim_plus_hit
 
 DEFAULT_SEED = 1729
@@ -139,7 +144,7 @@ class _Walk:
 
     __slots__ = ("n", "cands", "C", "pair_bits", "pairs", "vmask", "adjbits",
                  "is3", "shcount", "cover", "adj", "incident", "stack",
-                 "covered")
+                 "covered", "seeds")
 
     def __init__(self, n: int, uniformity: str):
         self.n = n
@@ -150,7 +155,8 @@ class _Walk:
         self.adjbits = []
         self.is3 = []
         self.shcount = []
-        for e in self.cands:
+        self.seeds = []   # per edge: its anchored cycle-search seeds
+        for j, e in enumerate(self.cands):
             ps = []
             for u, v in itertools.combinations(e, 2):
                 ps.append(u * n + v)
@@ -163,6 +169,8 @@ class _Walk:
             self.adjbits.append(tuple((v, msk ^ (1 << v)) for v in e))
             self.is3.append(len(e) == 3)
             self.shcount.append(len(ps) // 2)
+            self.seeds.append(tuple((a, b, j, (1 << a) | (1 << b))
+                                    for a, b in itertools.combinations(e, 2)))
         self.reset()
 
     def reset(self):
@@ -270,61 +278,11 @@ def _creates_path(w: _Walk, j: int, k: int) -> bool:
 def _cycle_through(w: _Walk, j: int, lower: int):
     """Longest Berge cycle strictly longer than ``lower`` using edge j,
     as (vertex tuple, cover-index tuple), or None."""
-    n = w.n
-    if lower >= n or len(w.stack) <= lower:
+    ub = min(w.n, len(w.stack))
+    if ub <= lower:
         return None
-    state = [lower, None, None]  # best_len, best_cyc, best_cov
-    path: list[int] = []
-    covs: list[int] = []
-
-    def ext(wv: int, cprev: int, vis: int, a: int, lp: int,
-            adj=w.adj, cover=w.cover, n=n, j=j, state=state,
-            path=path, covs=covs) -> bool:
-        if lp >= 3:
-            cc = cover[wv * n + a]
-            if cc >= 0 and cc != cprev and cc != j and lp > state[0]:
-                state[0] = lp
-                state[1] = tuple(path)
-                state[2] = tuple(covs) + (cc,)
-                if lp >= n:
-                    return True
-        nv = ~vis
-        m = adj[wv] & nv
-        if not m:
-            return False
-        if not (adj[a] & (nv | (1 << wv))):
-            return False
-        while m:
-            low = m & -m
-            x = low.bit_length() - 1
-            m ^= low
-            cc = cover[wv * n + x]
-            if cc == cprev:
-                continue
-            path.append(x)
-            covs.append(cc)
-            done = ext(x, cc, vis | low, a, lp + 1)
-            path.pop()
-            covs.pop()
-            if done:
-                return True
-        return False
-
-    ev = w.cands[j]
-    ne = len(ev)
-    for ai in range(ne):
-        a = ev[ai]
-        for bi in range(ai + 1, ne):
-            b = ev[bi]
-            path[:] = [a, b]
-            covs[:] = [j]
-            if ext(b, j, (1 << a) | (1 << b), a, 2):
-                break
-        if state[0] >= n:
-            break
-    if state[1] is None:
-        return None
-    return state[1], state[2]
+    hits = _cycle_kernel(w.adj, w.cover, w.vmask, w.n, w.seeds[j], lower, ub)
+    return hits[0] if hits else None
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +333,11 @@ def random_linear(n: int, rng: random.Random, uniformity: str = "23") -> LinearH
     return LinearHypergraph(n=n, edges=tuple(cands[i] for i in chosen))
 
 
+def _check_iso_cap(n: int, cap: int = ISO_CAP) -> None:
+    if n > cap:
+        raise CapExceededError(f"canonical form capped at n <= {cap}, got n = {n}")
+
+
 def canonical_form(h: LinearHypergraph, cap: int = ISO_CAP) -> bytes:
     """Label-invariant fingerprint: equal iff hypergraphs are isomorphic.
 
@@ -386,8 +349,7 @@ def canonical_form(h: LinearHypergraph, cap: int = ISO_CAP) -> bytes:
     encoding is itself a labeled instance of the same isomorphism class,
     equal minima imply isomorphism.
     """
-    if h.n > cap:
-        raise CapExceededError(f"canonical form capped at n <= {cap}, got n = {h.n}")
+    _check_iso_cap(h.n, cap)
     inv: dict[int, tuple[int, int]] = {v: (0, 0) for v in range(h.n)}
     for e in h.edges:
         for v in e:
@@ -593,6 +555,8 @@ def _verify_bound(campaign: str, n: int, k: int, uniformity: str, metric: str,
     """Run one bound campaign and build its report; ``family(n)``, when
     given, is the extremal family the classes are compared with."""
     _check_cap(n, uniformity)
+    if collect_classes:
+        _check_iso_cap(n)  # refuse before the walk, not after it
     started = time.perf_counter()
     spec = (_BoundCampaign,
             (n, k, uniformity, metric, lhs, rhs, collect_classes, witness_limit))

@@ -152,9 +152,20 @@ def components(h: LinearHypergraph) -> list[list[int]]:
     Isolated vertices form singleton components.  Components are sorted by
     their minimum vertex and internally sorted.
     """
-    parent = list(range(h.n))
+    groups = edge_components(h)
+    touched = {v for g in groups for v in g}
+    groups += [[v] for v in range(h.n) if v not in touched]
+    return sorted(groups)
+
+
+def edge_components(h: LinearHypergraph) -> list[list[int]]:
+    """The components that contain an edge, found over the edges only, so
+    the cost does not grow with the isolated vertices.  Each component is
+    sorted; the list is in no particular order."""
+    parent: dict[int, int] = {}
 
     def find(x: int) -> int:
+        parent.setdefault(x, x)
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
@@ -165,9 +176,9 @@ def components(h: LinearHypergraph) -> list[list[int]]:
         for v in e[1:]:
             parent[find(v)] = r
     groups: dict[int, list[int]] = {}
-    for v in range(h.n):
+    for v in sorted(parent):
         groups.setdefault(find(v), []).append(v)
-    return sorted(groups.values())
+    return list(groups.values())
 
 
 def disjoint_union(h1: LinearHypergraph, h2: LinearHypergraph) -> LinearHypergraph:

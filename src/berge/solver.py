@@ -13,19 +13,30 @@ The fast search relies on two facts that hold in *linear* hypergraphs:
   they are consecutive: non-consecutive steps cover disjoint pairs, and no
   2- or 3-vertex edge contains two disjoint pairs.
 
-Hence the DFS only compares each step's cover against its neighbors instead
-of carrying a used-edge set.  Witnesses are independently re-checked by the
+Hence the DFS only keeps each step off the other vertices of the edge just
+used, and a cycle's closing edge off its first and last edges, instead of
+carrying a used-edge set.  Witnesses are independently re-checked by the
 validity predicates, which implement the definition verbatim.
 
-The cycle search runs on the *cycle core*: repeatedly peel every vertex
+One cycle kernel (``_cycle_kernel``) serves ``longest_berge_cycle``,
+``all_longest_berge_cycles`` and the enumeration's anchored search.  It
+grows each *seed*, a path a→b over one edge with some vertices blocked,
+and closes it back at a.  A branch at tip w is cut unless the reach R of
+w's free neighbours (never entering a blocked or visited vertex) holds a
+neighbour of a and is large enough that path + R beats the best cycle.
+
+The unanchored seeds run on the *cycle core*: repeatedly peel every vertex
 that lies in at most one hyperedge (a 3-edge losing a vertex becomes a
 2-edge; a 2-edge losing one disappears and costs its other vertex a
 degree).  Every cycle vertex lies in two cycle edges, each of which keeps
-its two cycle vertices, so no cycle uses a peeled vertex.  The DFS never
-enters a peeled vertex, and min(core vertices, core edges) bounds the
-cycle length, so the search stops at the first cycle of that length.  Both
-cuts remove only branches that cannot beat the current best, so the
-witness and the set of longest cycles are those of the unpruned search.
+its two cycle vertices, so no cycle uses a peeled vertex.  Each cycle is
+found from its minimum core vertex s to a larger neighbour, with s and
+every vertex below it blocked, and min(core vertices, core edges) bounds
+the cycle length, so the search stops at the first cycle of that length.
+The anchored seeds are the vertex pairs of one edge, for cycles through
+it.  The cuts remove only branches that cannot beat the current best, so
+the witness and the set of longest cycles are those of the unpruned
+search.
 
 ``longest_berge_path`` and ``has_berge_path`` share one path search.  At a
 tip w it takes the reach R of w's free neighbours and the *live* edges:
@@ -36,6 +47,10 @@ lies in two of them.  So the branch is cut when the path length plus the
 number of live edges, or plus the number of R-vertices in two live edges
 (one more if some R-vertex is in fewer), cannot beat the best length so
 far.  This bound is never looser than |R|.
+
+Both searches keep their DFS on an explicit stack of untried-neighbour
+masks, one per path vertex, so their depth is bounded by memory and not
+by the interpreter's recursion limit.
 
 ``oracle_longest_path`` / ``oracle_longest_cycle`` are deliberately slow,
 structurally different cross-checks: they enumerate injective vertex
@@ -113,17 +128,20 @@ def is_valid_berge_cycle(h: LinearHypergraph, cycle: BergeCycle) -> bool:
 # ---------------------------------------------------------------------------
 
 def _view(h: LinearHypergraph):
-    """(adj, cover): shadow adjacency masks and pair -> edge-index table."""
+    """(adj, cover, emask): shadow adjacency masks, the pair -> edge-index
+    table, and each edge's vertex mask."""
     n = h.n
     adj = [0] * n
     cover = [-1] * (n * n)
+    emask = []
     for idx, e in enumerate(h.edges):
         for u, v in itertools.combinations(e, 2):
             cover[u * n + v] = idx
             cover[v * n + u] = idx
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-    return adj, cover
+        emask.append(sum(1 << v for v in e))
+    return adj, cover, emask
 
 
 def _incidence(h: LinearHypergraph) -> list[int]:
@@ -133,22 +151,6 @@ def _incidence(h: LinearHypergraph) -> list[int]:
         for v in e:
             inc[v] |= 1 << idx
     return inc
-
-
-def _reach(adj, start_mask: int, blocked: int) -> int:
-    """Vertices reachable from ``start_mask`` without entering ``blocked``."""
-    reach = 0
-    frontier = start_mask & ~blocked
-    while frontier:
-        reach |= frontier
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= adj[low.bit_length() - 1]
-            f ^= low
-        frontier = nxt & ~blocked & ~reach
-    return reach
 
 
 # ---------------------------------------------------------------------------
@@ -188,81 +190,78 @@ def _path_search(h: LinearHypergraph, floor: int, ub: int) -> BergePath | None:
     search.
     """
     n = h.n
-    adj, cover = _view(h)
+    adj, cover, emask = _view(h)
     inc = _incidence(h)
     best_len = floor
     best = None
-    path = [0]
-    covs: list[int] = []
-
-    def ext(w: int, cprev: int, vis: int) -> bool:
-        nonlocal best_len, best
-        lp = len(path) - 1  # current length
-        if lp > best_len:
-            best_len = lp
-            best = (tuple(path), tuple(covs))
-            if best_len >= ub:
-                return True
-        free = adj[w] & ~vis
-        if not free:
-            return False
-        # BFS over the reach of w's free neighbours; `two` collects the
-        # edges with at least two vertices in {w} | reach
-        reach = 0
-        one, two = inc[w], 0
-        frontier = free
-        while frontier:
-            reach |= frontier
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                v = low.bit_length() - 1
-                nxt |= adj[v]
-                e = inc[v]
-                two |= one & e
-                one |= e
-                f ^= low
-            frontier = nxt & ~vis & ~reach
-        if cprev >= 0:
-            two &= ~(1 << cprev)
-        need = best_len - lp  # the rest of the path must exceed this
-        if two.bit_count() <= need:
-            return False
-        inner = end = 0
-        f = reach
-        while f and inner + end <= need:
-            low = f & -f
-            d = inc[low.bit_length() - 1] & two
-            if d & (d - 1):
-                inner += 1
-            else:
-                end = 1
-            f ^= low
-        if inner + end <= need:
-            return False
-        msk = free
-        while msk:
-            low = msk & -msk
-            x = low.bit_length() - 1
-            msk ^= low
-            c = cover[w * n + x]
-            if c == cprev:
-                continue
-            path.append(x)
-            covs.append(c)
-            done = ext(x, c, vis | low)
-            path.pop()
-            covs.pop()
-            if done:
-                return True
-        return False
-
     for s in range(n):
         if best_len >= ub:
             break
-        path[0] = s
-        ext(s, -1, 1 << s)
+        path, covs = [s], [-1]  # covs[0]: no edge leads into the start
+        frames: list[int] = []  # untried neighbours of each path vertex
+        vis = 1 << s
+        while True:
+            w, cprev = path[-1], covs[-1]
+            lp = len(path) - 1  # current length
+            if lp > best_len:
+                best_len = lp
+                best = (tuple(path), tuple(covs[1:]))
+                if best_len >= ub:
+                    break
+            free = adj[w] & ~vis
+            if cprev >= 0:
+                free &= ~emask[cprev]
+            if free:
+                # BFS over the reach of w's free neighbours; `two` collects
+                # the edges with at least two vertices in {w} | reach
+                reach = 0
+                one, two = inc[w], 0
+                frontier = free
+                while frontier:
+                    reach |= frontier
+                    nxt = 0
+                    f = frontier
+                    while f:
+                        low = f & -f
+                        v = low.bit_length() - 1
+                        nxt |= adj[v]
+                        e = inc[v]
+                        two |= one & e
+                        one |= e
+                        f ^= low
+                    frontier = nxt & ~vis & ~reach
+                if cprev >= 0:
+                    two &= ~(1 << cprev)
+                need = best_len - lp  # the rest of the path must exceed this
+                if two.bit_count() <= need:
+                    free = 0
+                else:
+                    inner = end = 0
+                    f = reach
+                    while f and inner + end <= need:
+                        low = f & -f
+                        d = inc[low.bit_length() - 1] & two
+                        if d & (d - 1):
+                            inner += 1
+                        else:
+                            end = 1
+                        f ^= low
+                    if inner + end <= need:
+                        free = 0
+            frames.append(free)
+            while frames and not frames[-1]:  # backtrack
+                frames.pop()
+                vis ^= 1 << path.pop()
+                covs.pop()
+            if not frames:
+                break
+            untried = frames[-1]  # step to the least untried neighbour
+            low = untried & -untried
+            frames[-1] = untried ^ low
+            x = low.bit_length() - 1
+            covs.append(cover[path[-1] * n + x])
+            path.append(x)
+            vis |= low
     if best is None:
         return None
     vs, cs = best
@@ -303,113 +302,129 @@ def all_longest_berge_cycles(h: LinearHypergraph) -> list[BergeCycle]:
 
 def _cycle_core(h: LinearHypergraph) -> tuple[int, int]:
     """(vertex mask, edge count) of the cycle core of ``h`` (see the module
-    docstring), peeled in O(n + m) with incidence lists."""
-    n = h.n
-    incident: list[list[int]] = [[] for _ in range(n)]
+    docstring), peeled in O(m) over the vertices that some edge touches."""
+    incident: dict[int, list[int]] = {}
     for idx, e in enumerate(h.edges):
         for v in e:
-            incident[v].append(idx)
-    deg = [len(es) for es in incident]
+            incident.setdefault(v, []).append(idx)
+    deg = {v: len(es) for v, es in incident.items()}
     size = [len(e) for e in h.edges]
-    alive = (1 << n) - 1
+    alive = set(incident)
     edges_left = h.m
-    todo = [v for v in range(n) if deg[v] <= 1]
+    todo = [v for v, d in deg.items() if d <= 1]
     while todo:
         v = todo.pop()
-        alive ^= 1 << v
+        alive.discard(v)
         for idx in incident[v]:
             size[idx] -= 1
             if size[idx] != 1:
                 continue
             edges_left -= 1
             for u in h.edges[idx]:
-                if (alive >> u) & 1 and u != v:
+                if u in alive and u != v:
                     deg[u] -= 1
                     if deg[u] == 1:
                         todo.append(u)
-    return alive, edges_left
+    return sum(1 << v for v in alive), edges_left
 
 
 def _cycle_search(h: LinearHypergraph, collect_all: bool):
+    """The unanchored seeds, on the cycle core: each cycle is found from
+    its minimum vertex s to a larger neighbour b, with every vertex below s
+    blocked."""
     n = h.n
     core, core_m = _cycle_core(h)
     if core_m < 3:
         return []
-    adj, cover = _view(h)
+    adj, cover, emask = _view(h)
     adj = [a & core if (core >> v) & 1 else 0 for v, a in enumerate(adj)]
-    ub = min(core.bit_count(), core_m)
-    best_len = 2
-    hits: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    path: list[int] = []
-    covs: list[int] = []
-
-    def ext(s: int, w: int, cprev: int, c0: int, vis: int) -> bool:
-        nonlocal best_len
-        lp = len(path)
-        if lp >= 3:
-            cc = cover[w * n + s]
-            if cc >= 0 and cc != cprev and cc != c0:
-                if lp > best_len:
-                    best_len = lp
-                    hits.clear()
-                    if not collect_all:
-                        hits.append((tuple(path), tuple(covs) + (cc,)))
-                        if best_len >= ub:
-                            return True
-                    elif path[1] < path[-1]:
-                        hits.append((tuple(path), tuple(covs) + (cc,)))
-                    # a mirror-oriented first hit is re-found normalized at
-                    # the same length, which is never pruned (limit is
-                    # best_len - 1 in collect_all mode)
-                elif collect_all and lp == best_len and path[1] < path[-1]:
-                    hits.append((tuple(path), tuple(covs) + (cc,)))
-        free = adj[w] & ~vis
-        if not free:
-            return False
-        limit = best_len if not collect_all else best_len - 1
-        r = _reach(adj, free, vis)
-        if lp + r.bit_count() <= limit:
-            return False
-        if not (adj[s] & (r | (1 << w))):
-            return False
-        msk = free
-        while msk:
-            low = msk & -msk
-            x = low.bit_length() - 1
-            msk ^= low
-            if x < s:
-                continue
-            c = cover[w * n + x]
-            if c == cprev:
-                continue
-            path.append(x)
-            covs.append(c)
-            done = ext(s, x, c, c0, vis | low)
-            path.pop()
-            covs.pop()
-            if done:
-                return True
-        return False
-
-    for s in range(n):
-        if not collect_all and best_len >= ub:
-            break
-        msk = adj[s]
-        while msk:
-            low = msk & -msk
+    seeds = []
+    rest = core
+    while rest:
+        s = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        blocked = (2 << s) - 1  # s and every vertex below it
+        nbrs = adj[s] & ~blocked
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
             b = low.bit_length() - 1
-            msk ^= low
-            if b < s:
-                continue
-            c0 = cover[s * n + b]
-            path[:] = [s, b]
-            covs[:] = [c0]
-            if ext(s, b, c0, c0, (1 << s) | (1 << b)):
+            seeds.append((s, b, cover[s * n + b], blocked | low))
+    return _cycle_kernel(adj, cover, emask, n, seeds, 2,
+                         min(core.bit_count(), core_m), collect_all)
+
+
+def _cycle_kernel(adj: list[int], cover: list[int], emask: list[int], n: int,
+                  seeds, best_len: int, ub: int, collect_all: bool = False):
+    """Longest Berge cycles closing one of ``seeds``, as sorted
+    (vertex tuple, cover-index tuple) pairs; ``emask`` maps a cover index
+    to its edge's vertex mask.
+
+    A seed (a, b, c0, vis) is the path a→b over cover index c0; it closes
+    back at a through an edge other than c0 and the last edge used, and
+    never enters a vertex of ``vis``.  Only cycles longer than ``best_len``
+    are found: by default the first-found one of the greatest length (the
+    search stops at length ``ub``); with ``collect_all`` every cycle of the
+    greatest length, once per orientation pair (second vertex below the
+    last).
+    """
+    hits: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    # with collect_all, ties are not cut, so a cycle first found in its
+    # unrecorded orientation is found again in the recorded one
+    slack = 1 if collect_all else 0
+    for a, b, c0, vis in seeds:
+        adj_a = adj[a]
+        path, covs = [a, b], [c0]
+        frames: list[int] = []  # untried neighbours of path[1:]
+        while True:
+            w, cprev = path[-1], covs[-1]
+            lp = len(path)
+            if lp >= 3:
+                cc = cover[w * n + a]
+                if cc >= 0 and cc != cprev and cc != c0:
+                    if lp > best_len:
+                        best_len = lp
+                        hits = []
+                        if not collect_all:
+                            hits.append((tuple(path), tuple(covs) + (cc,)))
+                            if lp >= ub:
+                                return hits
+                    if collect_all and lp == best_len and path[1] < w:
+                        hits.append((tuple(path), tuple(covs) + (cc,)))
+            free = adj[w] & ~vis & ~emask[cprev]
+            if free:
+                # grow the reach of the free neighbours until it can close
+                # at a and is large enough to beat the best
+                need = best_len - slack - lp
+                reach = 0
+                frontier = free
+                while frontier:
+                    reach |= frontier
+                    if reach & adj_a and reach.bit_count() > need:
+                        break
+                    nxt = 0
+                    while frontier:
+                        low = frontier & -frontier
+                        nxt |= adj[low.bit_length() - 1]
+                        frontier ^= low
+                    frontier = nxt & ~vis & ~reach
+                else:
+                    free = 0
+            frames.append(free)
+            while frames and not frames[-1]:  # backtrack
+                frames.pop()
+                vis ^= 1 << path.pop()
+                covs.pop()
+            if not frames:
                 break
-    if collect_all and hits:
-        # cycles recorded before the final maximum was known may linger only
-        # if equal to it; hits was cleared on every strict improvement.
-        hits.sort()
+            untried = frames[-1]  # step to the least untried neighbour
+            low = untried & -untried
+            frames[-1] = untried ^ low
+            x = low.bit_length() - 1
+            covs.append(cover[path[-1] * n + x])
+            path.append(x)
+            vis |= low
+    hits.sort()
     return hits
 
 

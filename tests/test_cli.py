@@ -1,8 +1,19 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
-from berge import parse_hg, validate
+import berge
+from berge import (
+    BergeCycle,
+    BergePath,
+    is_valid_berge_cycle,
+    is_valid_berge_path,
+    parse_hg,
+)
 from berge.cli import main, read_report
 from berge.errors import FormatError
 
@@ -66,8 +77,6 @@ def test_solve_verbs(tmp_path, capsys):
     assert code == 0 and rep["result"]["length"] == 6
     # witness re-validates
     h = parse_hg(f.read_text())
-    from berge import BergePath, is_valid_berge_path
-
     w = BergePath(
         vertices=tuple(rep["result"]["witness_vertices"]),
         hyperedges=tuple(tuple(e) for e in rep["result"]["witness_edges"]),
@@ -134,6 +143,17 @@ def test_verify_rejects_bad_k(capsys):
 
 def test_verify_cap_exit(capsys):
     assert main(["verify", "theorem-shadow", "--n", "9", "--k", "4"]) == 2
+
+
+def test_class_cap_refused_before_walk(monkeypatch, capsys):
+    # HX_CAP_N lifts the walk's cap but not the canonical-form cap
+    def walked(spec, jobs):
+        raise AssertionError("the campaign ran before the class cap was checked")
+
+    monkeypatch.setenv("HX_CAP_N", "9")
+    monkeypatch.setattr("berge.enumeration._run_campaign", walked)
+    assert main(["verify", "remark", "--n", "9", "--k", "1", "--jobs", "1"]) == 2
+    assert "error [cap-exceeded]" in capsys.readouterr().err
 
 
 def test_witness_dir(tmp_path, capsys):
@@ -218,19 +238,69 @@ def test_stats_degrees(tmp_path, capsys):
     (["solve", "has-path", "--k", "1499"], "path"),
     (["solve", "circumference"], "cycle"),
 ])
-def test_recursion_limit_exits_3(tmp_path, capsys, argv, edges):
-    # 1,500 vertices already exceed the default recursion limit of the DFS
+def test_long_path_and_cycle_answered(tmp_path, capsys, argv, edges):
+    # 1,500 vertices exceed the default recursion limit, so a search that
+    # recursed once per path vertex would be refused here
     n = 1500
     pairs = [(i, i + 1) for i in range(n - 1)]
     if edges == "cycle":
         pairs.append((0, n - 1))
     f = tmp_path / "long.hg"
     f.write_text(f"{n} {len(pairs)}\n" + "".join(f"{a} {b}\n" for a, b in pairs))
-    assert main(argv[:2] + [str(f)] + argv[2:]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "error [resource]: RecursionError" in captured.err
-    assert "Traceback" not in captured.err
+    code, rep = _report(capsys, argv[:2] + [str(f)] + argv[2:])
+    assert code == 0
+    r = rep["result"]
+    h = parse_hg(f.read_text())
+    vs = tuple(r.get("witness_vertices") or ())
+    es = tuple(tuple(e) for e in r.get("witness_edges") or ())
+    if argv[1] == "has-path":
+        assert r["found"] is True
+    elif argv[1] == "longest-path":
+        assert r["length"] == n - 1
+        assert is_valid_berge_path(h, BergePath(vertices=vs, hyperedges=es))
+    else:
+        assert r["length"] == n
+        assert is_valid_berge_cycle(h, BergeCycle(vertices=vs, hyperedges=es))
+
+
+HUGE_N = 10 ** 15
+
+
+def test_stats_huge_vertex_count(tmp_path, capsys):
+    # one triple under a header far too large for per-vertex tables
+    f = tmp_path / "huge.hg"
+    f.write_text(f"{HUGE_N} 1\n0 1 2\n")
+    code, rep = _report(capsys, ["stats", str(f)])
+    assert code == 0
+    assert rep["result"] == {
+        "n": HUGE_N, "m": 1, "m2": 0, "m3": 1, "shadow_edges": 3,
+        "components": HUGE_N - 2, "min_degree": 0, "max_degree": 1,
+        "min_shadow_degree": 0, "max_shadow_degree": 2,
+    }
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["solve", "circumference"], "length"),
+    (["check", "claims"], "cycle_length"),
+])
+def test_cycle_verbs_huge_vertex_count(tmp_path, argv, key):
+    # run in a child with capped address space and time, so a per-vertex
+    # table fails fast instead of exhausting the machine
+    f = tmp_path / "huge.hg"
+    f.write_text(f"{HUGE_N} 1\n0 1 2\n")
+    src = os.path.dirname(os.path.dirname(berge.__file__))
+    limit = 2 << 30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "berge.cli", *argv, str(f)],
+        env={**os.environ, "PYTHONPATH": src}, preexec_fn=cap_memory,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert read_report(proc.stdout)["result"][key] is None
 
 
 def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):

@@ -16,6 +16,7 @@ from berge.enumeration import (
     verify_theorem_shadow,
     verify_theorem_uniform,
 )
+from berge.solver import oracle_longest_cycle
 
 
 def _brute_force_count(n, mixed):
@@ -209,6 +210,23 @@ def test_claims_exhaustive_small():
     assert r.instances_checked == 2544
     assert r.cyclic_instances + r.acyclic_instances == r.instances_checked
     assert r.checked_vertices > 0
+    # the anchored cycle search and the n <= 5 all-cycles re-check share one
+    # kernel, so the circumferences are also counted by the brute-force oracle
+    assert r.cycle_length_histogram == {"3": 795, "4": 660, "5": 553}
+    assert r.acyclic_instances == 536
+    hist: dict[str, int] = {}
+    acyclic = 0
+
+    def count(h):
+        nonlocal acyclic
+        ell = oracle_longest_cycle(h)
+        if ell is None:
+            acyclic += 1
+        else:
+            hist[str(ell)] = hist.get(str(ell), 0) + 1
+
+    assert enumerate_hypergraphs(CampaignParams(n=5, uniformity="23"), count) == 2544
+    assert (hist, acyclic) == (r.cycle_length_histogram, r.acyclic_instances)
 
 
 def test_claims_exhaustive_exercises_triples():

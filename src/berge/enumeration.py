@@ -48,7 +48,6 @@ DEFAULT_SEED = 1729
 EXHAUSTIVE_CAP_MIXED = 7
 EXHAUSTIVE_CAP_3ONLY = 8
 RANDOM_CAP = 12
-ISO_CAP = 8
 TINY_ALL_CYCLES = 5   # below this, structural laws run on every longest cycle
 _SPLIT_DEPTH = 3      # DFS prefix depth at which parallel work units start
 CAP_ENV_VAR = "HX_CAP_N"
@@ -333,41 +332,104 @@ def random_linear(n: int, rng: random.Random, uniformity: str = "23") -> LinearH
     return LinearHypergraph(n=n, edges=tuple(cands[i] for i in chosen))
 
 
-def _check_iso_cap(n: int, cap: int = ISO_CAP) -> None:
-    if n > cap:
-        raise CapExceededError(f"canonical form capped at n <= {cap}, got n = {n}")
+def _refine(cells: list[list[int]], incident: list[list[Edge]]) -> list[list[int]]:
+    """Refine an ordered vertex partition until it is equitable.
+
+    A vertex's signature is the sorted multiset, over its edges, of the
+    sorted cell indices of its co-members in that edge.  Each cell splits by
+    signature, the parts in signature order, until no cell splits; so the
+    result depends on the cells and the edges, not on the vertex labels.
+    """
+    while True:
+        cell_of = {v: i for i, cell in enumerate(cells) for v in cell}
+        refined = []
+        for cell in cells:
+            if len(cell) == 1:
+                refined.append(cell)
+                continue
+            parts: dict[tuple, list[int]] = {}
+            for v in cell:
+                sig = tuple(sorted(tuple(sorted(cell_of[u] for u in e if u != v))
+                                   for e in incident[v]))
+                parts.setdefault(sig, []).append(v)
+            refined.extend(parts[sig] for sig in sorted(parts))
+        if len(refined) == len(cells):
+            return cells
+        cells = refined
 
 
-def canonical_form(h: LinearHypergraph, cap: int = ISO_CAP) -> bytes:
+def canonical_form(h: LinearHypergraph) -> bytes:
     """Label-invariant fingerprint: equal iff hypergraphs are isomorphic.
 
-    Minimizes the edge encoding over relabelings, restricted (soundly) to
-    relabelings that list vertices class-by-class, where classes group
-    vertices by (2-edge degree, 3-edge degree) in a fixed class order.
-    Any isomorphism maps classes onto classes, so isomorphic hypergraphs
-    range over the same restricted encodings; and since the minimizing
-    encoding is itself a labeled instance of the same isomorphism class,
-    equal minima imply isomorphism.
+    Individualization-refinement (McKay & Piperno, "Practical graph
+    isomorphism II", J. Symbolic Comput. 60, 2014).  Each node of the search
+    tree is an equitable ordered partition (``_refine``).  A node's children
+    individualize, one at a time, each vertex of its first non-singleton
+    cell whose vertices lie in some edge, and refine again.  A node whose
+    non-isolated vertices are all singletons is a leaf: it labels each
+    vertex by its position in the partition.  The form is the least sorted
+    relabeled edge tuple over the leaves.  Refinement and the target-cell
+    rule commute with relabeling, so isomorphic inputs have the same leaf
+    encodings; and the least encoding is itself a labeled copy of ``h``, so
+    equal forms imply isomorphism.
+
+    Two leaves with the same encoding differ by an automorphism of ``h``.
+    A child is skipped when it lies in the orbit of an explored sibling
+    under the group generated by the automorphisms found so far that fix
+    each of the node's individualized vertices: an element of that group
+    maps the node to itself and the explored subtree onto the skipped one,
+    leaf encodings included, so the minimum is unchanged.
     """
-    _check_iso_cap(h.n, cap)
-    inv: dict[int, tuple[int, int]] = {v: (0, 0) for v in range(h.n)}
+    n = h.n
+    incident: list[list[Edge]] = [[] for _ in range(n)]
     for e in h.edges:
         for v in e:
-            d2, d3 = inv[v]
-            inv[v] = (d2 + 1, d3) if len(e) == 2 else (d2, d3 + 1)
-    classes: dict[tuple[int, int], list[int]] = {}
-    for v in range(h.n):
-        classes.setdefault(inv[v], []).append(v)
-    keys = sorted(classes)
-    best: tuple | None = None
-    pools = [itertools.permutations(classes[key]) for key in keys]
-    for arrangement in itertools.product(*pools):
-        order = [v for group in arrangement for v in group]
-        relabel = {old: new for new, old in enumerate(order)}
-        edges = tuple(sorted(tuple(sorted(relabel[v] for v in e)) for e in h.edges))
-        if best is None or edges < best:
-            best = edges
-    return repr((h.n, best)).encode()
+            incident[v].append(e)
+    leaves: dict[tuple, list[int]] = {}   # encoding -> first leaf's order
+    autos: list[dict[int, int]] = []
+
+    def search(cells: list[list[int]], prefix: list[int]) -> None:
+        t = next((i for i, c in enumerate(cells) if len(c) > 1 and incident[c[0]]), None)
+        if t is None:
+            order = [v for cell in cells for v in cell]
+            pos = {v: i for i, v in enumerate(order)}
+            enc = tuple(sorted(tuple(sorted(pos[v] for v in e)) for e in h.edges))
+            first = leaves.setdefault(enc, order)
+            if first is not order:
+                autos.append({v: u for v, u in zip(order, first) if v != u})
+            return
+        explored: list[int] = []
+        for v in cells[t]:
+            if explored and _in_explored_orbit(v, explored, autos, prefix):
+                continue
+            explored.append(v)
+            child = cells[:t] + [[v], [u for u in cells[t] if u != v]] + cells[t + 1:]
+            search(_refine(child, incident), prefix + [v])
+
+    search(_refine([list(range(n))], incident), [])
+    return repr((n, min(leaves))).encode()
+
+
+def _in_explored_orbit(v: int, explored: list[int], autos: list[dict[int, int]],
+                       prefix: list[int]) -> bool:
+    """Is ``v`` in the orbit of an ``explored`` vertex under the group that
+    the automorphisms fixing every vertex of ``prefix`` generate?"""
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    for g in autos:
+        if any(p in g for p in prefix):
+            continue
+        for a, b in g.items():
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+    root = find(v)
+    return any(find(x) == root for x in explored)
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +617,6 @@ def _verify_bound(campaign: str, n: int, k: int, uniformity: str, metric: str,
     """Run one bound campaign and build its report; ``family(n)``, when
     given, is the extremal family the classes are compared with."""
     _check_cap(n, uniformity)
-    if collect_classes:
-        _check_iso_cap(n)  # refuse before the walk, not after it
     started = time.perf_counter()
     spec = (_BoundCampaign,
             (n, k, uniformity, metric, lhs, rhs, collect_classes, witness_limit))

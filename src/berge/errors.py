@@ -48,7 +48,7 @@ class InstanceTooLargeError(BergeError):
 
 
 class CapExceededError(BergeError):
-    """Enumeration or canonicalization cap exceeded."""
+    """Enumeration cap exceeded."""
 
     code = "cap-exceeded"
 

@@ -50,7 +50,9 @@ far.  This bound is never looser than |R|.
 
 Both searches keep their DFS on an explicit stack of untried-neighbour
 masks, one per path vertex, so their depth is bounded by memory and not
-by the interpreter's recursion limit.
+by the interpreter's recursion limit.  They run on the vertices that some
+edge touches, relabeled in ascending order (``_touched``), so a huge vertex
+count costs nothing by itself and the witnesses are those on ``h``.
 
 ``oracle_longest_path`` / ``oracle_longest_cycle`` are deliberately slow,
 structurally different cross-checks: they enumerate injective vertex
@@ -127,6 +129,20 @@ def is_valid_berge_cycle(h: LinearHypergraph, cycle: BergeCycle) -> bool:
 # bitmask view
 # ---------------------------------------------------------------------------
 
+def _touched(h: LinearHypergraph) -> tuple[LinearHypergraph, list[int] | None]:
+    """``h`` on its touched vertices, relabeled in ascending order so that
+    every edge keeps its index, plus the new-to-old vertex list; ``h`` and
+    None when every vertex is touched.  Order is preserved, so a search on
+    the relabeled copy tries vertices in the same order as on ``h``."""
+    touched = set().union(*h.edges)
+    if len(touched) == h.n:
+        return h, None
+    verts = sorted(touched)
+    new = {v: i for i, v in enumerate(verts)}
+    return LinearHypergraph(n=len(verts),
+                            edges=tuple(tuple(new[v] for v in e) for e in h.edges)), verts
+
+
 def _view(h: LinearHypergraph):
     """(adj, cover, emask): shadow adjacency masks, the pair -> edge-index
     table, and each edge's vertex mask."""
@@ -189,9 +205,10 @@ def _path_search(h: LinearHypergraph, floor: int, ub: int) -> BergePath | None:
     cannot beat the current best, so the witness is that of the unpruned
     search.
     """
-    n = h.n
-    adj, cover, emask = _view(h)
-    inc = _incidence(h)
+    g, verts = _touched(h)
+    n = g.n
+    adj, cover, emask = _view(g)
+    inc = _incidence(g)
     best_len = floor
     best = None
     for s in range(n):
@@ -265,6 +282,8 @@ def _path_search(h: LinearHypergraph, floor: int, ub: int) -> BergePath | None:
     if best is None:
         return None
     vs, cs = best
+    if verts is not None:
+        vs = tuple(verts[v] for v in vs)
     return BergePath(vertices=vs, hyperedges=tuple(h.edges[c] for c in cs))
 
 
@@ -332,11 +351,12 @@ def _cycle_search(h: LinearHypergraph, collect_all: bool):
     """The unanchored seeds, on the cycle core: each cycle is found from
     its minimum vertex s to a larger neighbour b, with every vertex below s
     blocked."""
-    n = h.n
-    core, core_m = _cycle_core(h)
+    g, verts = _touched(h)
+    n = g.n
+    core, core_m = _cycle_core(g)
     if core_m < 3:
         return []
-    adj, cover, emask = _view(h)
+    adj, cover, emask = _view(g)
     adj = [a & core if (core >> v) & 1 else 0 for v, a in enumerate(adj)]
     seeds = []
     rest = core
@@ -350,8 +370,11 @@ def _cycle_search(h: LinearHypergraph, collect_all: bool):
             nbrs ^= low
             b = low.bit_length() - 1
             seeds.append((s, b, cover[s * n + b], blocked | low))
-    return _cycle_kernel(adj, cover, emask, n, seeds, 2,
+    hits = _cycle_kernel(adj, cover, emask, n, seeds, 2,
                          min(core.bit_count(), core_m), collect_all)
+    if verts is None:
+        return hits
+    return [(tuple(verts[v] for v in vs), cs) for vs, cs in hits]
 
 
 def _cycle_kernel(adj: list[int], cover: list[int], emask: list[int], n: int,

@@ -24,6 +24,7 @@ from berge import (
 from berge.cli import main, read_report
 from berge.constructions import (
     extremal_disjoint_sts,
+    fano,
     matching_k2,
     star_k3,
     sts_bose,
@@ -32,6 +33,7 @@ from berge.constructions import (
 )
 from berge.enumeration import (
     CampaignParams,
+    _verify_bound,
     canonical_form,
     enumerate_hypergraphs,
     random_linear,
@@ -91,6 +93,12 @@ def test_criterion_1_edge_bound_for_3_uniform(tmp_path):
                 # a Steiner system on 7 points attains the bound exactly
                 assert res["max_hyperedges"] == 7
                 assert 6 * 7 == (7 - 1) * 7
+    # ... and it is the only extremal class there: the Fano plane
+    fano_classes = _verify_bound("theorem-uniform", 7, 7, "3", "edges", 6, 42,
+                                 int(JOBS), 8, collect_classes=True,
+                                 family=lambda n: fano())
+    assert fano_classes.extremal_class_count == 1
+    assert fano_classes.extremal_matches_family is True
     _line("criterion-1", True,
           f"24 campaigns, {checked} instances visited, zero violations "
           f"({time.time() - t0:.0f}s)")

@@ -145,15 +145,15 @@ def test_verify_cap_exit(capsys):
     assert main(["verify", "theorem-shadow", "--n", "9", "--k", "4"]) == 2
 
 
-def test_class_cap_refused_before_walk(monkeypatch, capsys):
-    # HX_CAP_N lifts the walk's cap but not the canonical-form cap
-    def walked(spec, jobs):
-        raise AssertionError("the campaign ran before the class cap was checked")
-
+def test_class_count_at_n9(monkeypatch, capsys):
+    # HX_CAP_N lifts the walk's cap; the extremal classes are then counted
     monkeypatch.setenv("HX_CAP_N", "9")
-    monkeypatch.setattr("berge.enumeration._run_campaign", walked)
-    assert main(["verify", "remark", "--n", "9", "--k", "1", "--jobs", "1"]) == 2
-    assert "error [cap-exceeded]" in capsys.readouterr().err
+    code, rep = _report(capsys, ["verify", "remark", "--n", "9", "--k", "2",
+                                 "--jobs", "2"])
+    assert code == 0
+    r = rep["result"]
+    assert r["extremal_class_count"] == 1
+    assert r["extremal_matches_family"] is True
 
 
 def test_witness_dir(tmp_path, capsys):
@@ -279,15 +279,9 @@ def test_stats_huge_vertex_count(tmp_path, capsys):
     }
 
 
-@pytest.mark.parametrize("argv,key", [
-    (["solve", "circumference"], "length"),
-    (["check", "claims"], "cycle_length"),
-])
-def test_cycle_verbs_huge_vertex_count(tmp_path, argv, key):
-    # run in a child with capped address space and time, so a per-vertex
-    # table fails fast instead of exhausting the machine
-    f = tmp_path / "huge.hg"
-    f.write_text(f"{HUGE_N} 1\n0 1 2\n")
+def _run_capped(argv):
+    """Run the CLI in a child with capped address space and time, so a
+    per-vertex table fails fast instead of exhausting the machine."""
     src = os.path.dirname(os.path.dirname(berge.__file__))
     limit = 2 << 30
 
@@ -295,12 +289,35 @@ def test_cycle_verbs_huge_vertex_count(tmp_path, argv, key):
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     proc = subprocess.run(
-        [sys.executable, "-m", "berge.cli", *argv, str(f)],
+        [sys.executable, "-m", "berge.cli", *argv],
         env={**os.environ, "PYTHONPATH": src}, preexec_fn=cap_memory,
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert read_report(proc.stdout)["result"][key] is None
+    return read_report(proc.stdout)["result"]
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["solve", "circumference"], "length"),
+    (["check", "claims"], "cycle_length"),
+])
+def test_cycle_verbs_huge_vertex_count(tmp_path, argv, key):
+    f = tmp_path / "huge.hg"
+    f.write_text(f"{HUGE_N} 1\n0 1 2\n")
+    assert _run_capped(argv + [str(f)])[key] is None
+
+
+@pytest.mark.parametrize("n", [100_000, HUGE_N])
+def test_path_verbs_huge_vertex_count(tmp_path, n):
+    # the path search runs on the touched vertices only
+    f = tmp_path / "huge.hg"
+    f.write_text(f"{n} 2\n0 1 2\n2 {n - 2} {n - 1}\n")
+    r = _run_capped(["solve", "longest-path", str(f)])
+    assert r["length"] == 2
+    assert r["witness_vertices"] == [0, 2, n - 2]
+    assert r["witness_edges"] == [[0, 1, 2], [2, n - 2, n - 1]]
+    assert _run_capped(["solve", "has-path", "--k", "2", str(f)])["found"] is True
+    assert _run_capped(["solve", "has-path", "--k", "3", str(f)])["found"] is False
 
 
 def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):

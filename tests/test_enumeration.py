@@ -5,7 +5,7 @@ import random
 import pytest
 
 from berge import CapExceededError, shadow, validate
-from berge.constructions import matching_k2, star_k3
+from berge.constructions import matching_k2, star_k3, sts_bose
 from berge.enumeration import (
     CampaignParams,
     canonical_form,
@@ -141,8 +141,11 @@ def test_canonical_form_separates():
     a = validate(5, [(0, 1, 2), (0, 3, 4)])
     b = validate(6, [(0, 1, 2), (3, 4, 5)])
     assert canonical_form(a) != canonical_form(b)
-    with pytest.raises(CapExceededError):
-        canonical_form(validate(9, []))
+    # n = 9 is answered: edgeless, STS(9), and STS(9) less one triple
+    forms = {canonical_form(validate(9, [])), canonical_form(sts_bose(9)),
+             canonical_form(validate(9, sts_bose(9).edges[1:]))}
+    assert len(forms) == 3
+    assert canonical_form(validate(9, [])) != canonical_form(validate(8, []))
 
 
 def test_theorem_uniform_small():

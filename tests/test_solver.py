@@ -245,6 +245,28 @@ def test_path_contract_random(uniformity):
                 random_linear(n, random.Random(f"path:{n}:{i}"), uniformity))
 
 
+def test_witnesses_ignore_untouched_vertices():
+    # spreading the labels apart over untouched vertices keeps their order,
+    # so every witness is the spread of the compact one
+    for i in range(60):
+        h = random_linear(8, random.Random(f"spread:{i}"))
+        spread = validate(3 * h.n + 2, [tuple(3 * v + 1 for v in e) for e in h.edges])
+
+        def moved(vs):
+            return tuple(3 * v + 1 for v in vs)
+
+        path = longest_berge_path(h)
+        if h.m:
+            assert longest_berge_path(spread).vertices == moved(path.vertices)
+        cyc = longest_berge_cycle(h)
+        got = longest_berge_cycle(spread)
+        assert (got is None) == (cyc is None)
+        if cyc is not None:
+            assert got.vertices == moved(cyc.vertices)
+        assert ([moved(c.vertices) for c in all_longest_berge_cycles(h)]
+                == [c.vertices for c in all_longest_berge_cycles(spread)])
+
+
 def _sparse_linear(n, rng):
     """Random linear {2,3}-uniform hypergraph with 0.4n to 0.8n edges."""
     target = rng.randint(2 * n // 5, 4 * n // 5)

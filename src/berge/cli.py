@@ -58,8 +58,12 @@ def _emit(args, command: dict, result: dict, seconds: float) -> None:
         "result": result,
         "timing": {"seconds": round(seconds, 6)},
     }
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if getattr(args, "output", None):
+    _write(args, json.dumps(report, sort_keys=True, indent=2) + "\n")
+
+
+def _write(args, text: str) -> None:
+    """Write a verb's output to ``-o/--output``, or to stdout."""
+    if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -92,55 +96,49 @@ def build_parser() -> argparse.ArgumentParser:
                     "solvers, constructions, and bound verification.",
     )
     sub = top.add_subparsers(dest="verb", required=True)
+    out = argparse.ArgumentParser(add_help=False)   # every verb writes somewhere
+    out.add_argument("-o", "--output")
 
-    p = sub.add_parser("construct", help="generate a named family as .hg")
+    p = sub.add_parser("construct", parents=[out], help="generate a named family as .hg")
     p.add_argument("family", choices=constructions.FAMILIES)
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--copies", type=int)
-    p.add_argument("-o", "--output")
 
-    p = sub.add_parser("shadow", help="two-shadow summary of a .hg file")
+    p = sub.add_parser("shadow", parents=[out], help="two-shadow summary of a .hg file")
     p.add_argument("file")
-    p.add_argument("-o", "--output")
 
-    p = sub.add_parser("stats", help="basic counts and degrees of a .hg file")
+    p = sub.add_parser("stats", parents=[out], help="basic counts and degrees of a .hg file")
     p.add_argument("file")
-    p.add_argument("-o", "--output")
 
     p = sub.add_parser("solve", help="exact path/cycle solving")
     act = p.add_subparsers(dest="action", required=True)
     for name in ("longest-path", "circumference"):
-        q = act.add_parser(name)
+        q = act.add_parser(name, parents=[out])
         q.add_argument("file")
-        q.add_argument("-o", "--output")
-    q = act.add_parser("has-path")
+    q = act.add_parser("has-path", parents=[out])
     q.add_argument("file")
     q.add_argument("--k", type=int, required=True)
-    q.add_argument("-o", "--output")
 
     p = sub.add_parser("check", help="structural laws on one instance")
     act = p.add_subparsers(dest="action", required=True)
-    q = act.add_parser("claims")
+    q = act.add_parser("claims", parents=[out])
     q.add_argument("file")
-    q.add_argument("-o", "--output")
 
     p = sub.add_parser("verify", help="enumeration campaigns")
     act = p.add_subparsers(dest="action", required=True)
     for name in ("theorem-uniform", "theorem-shadow", "remark"):
-        q = act.add_parser(name)
+        q = act.add_parser(name, parents=[out])
         q.add_argument("--n", type=_POSITIVE, required=True)
         q.add_argument("--k", type=int, required=True)
         q.add_argument("--jobs", type=_POSITIVE, default=None)
         q.add_argument("--witness-limit", type=_NON_NEGATIVE, default=8)
         q.add_argument("--witness-dir")
-        q.add_argument("-o", "--output")
-    q = act.add_parser("claims")
+    q = act.add_parser("claims", parents=[out])
     q.add_argument("--n", type=_POSITIVE, required=True)
     q.add_argument("--samples", type=_POSITIVE, default=None)
     q.add_argument("--seed", type=int, default=DEFAULT_SEED)
     q.add_argument("--jobs", type=_POSITIVE, default=None)
-    q.add_argument("-o", "--output")
 
     return top
 
@@ -151,12 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_construct(args) -> int:
     h = constructions.build(args.family, n=args.n, k=args.k, copies=args.copies)
-    text = format_hg(h)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, format_hg(h))
     return 0
 
 

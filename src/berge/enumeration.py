@@ -1,26 +1,30 @@
 """Exhaustive and randomized verification campaigns over small instances.
 
-The generator walks all linear {2,3}-uniform (or 3-uniform) hypergraphs on
-n labeled vertices as a DFS over candidate edges in lexicographic order,
-pruning any branch whose pair coverage would break linearity.  Campaign
-walkers ride this DFS and keep their expensive state incremental:
+One labeled walk, ``_Walk.descend``, visits all linear {2,3}-uniform (or
+3-uniform) hypergraphs on n labeled vertices as a DFS over candidate edges
+in lexicographic order, skipping any candidate whose pair coverage would
+break linearity.  Each exhaustive enumeration is a *step* on that walk:
+``step(acc, j, state)`` visits the instance that edge j has just extended,
+with the state its parent handed down, and returns the child's state or
+``_PRUNE``.  The steps keep their expensive state incremental:
 
-* bound campaigns maintain "has a Berge path of length >= k" by searching
-  only for paths through the newly added edge (supersets of a hypergraph
-  with such a path are pruned: the forbidden-path family is downward
-  closed, so every path-free hypergraph is still reached);
-* the structural-law campaign maintains a longest Berge cycle by searching
+* ``enumerate_hypergraphs`` calls a visitor, which may prune;
+* bound campaigns carry the shadow size and prune on "has a Berge path of
+  length >= k", searching only for paths through the new edge (the
+  forbidden-path family is downward closed, so every path-free hypergraph
+  is still reached);
+* the structural-law campaign carries a longest Berge cycle, searching
   only for cycles through the new edge (any strictly longer cycle must use
-  it), and re-checks only the vertices/edges whose peripheral data changed
-  when the cycle context is inherited; on a context change everything is
-  re-checked.
+  it); an inherited cycle context is re-checked only at the new edge's
+  vertices, a new one everywhere.
 
 Every campaign runs through one driver (``_run_campaign``): ``run_top``
 does the work above a fixed DFS prefix depth and returns the work units
 below it (DFS prefixes, or single sample indices for random
 campaigns), and ``run_prefix`` runs one unit, serially or in a process
-pool.  Partial results merge commutatively, so reports are identical for
-any job count.
+pool, after ``_Walk.replay`` has rebuilt the walk and the step's state at
+the prefix.  Partial results merge commutatively, so reports are
+identical for any job count.
 """
 
 from __future__ import annotations
@@ -70,20 +74,6 @@ def _check_cap(n: int, scope: str) -> None:
             f"{kind} campaign capped at n <= {cap} "
             f"(override with {CAP_ENV_VAR}); got n = {n}"
         )
-
-
-@dataclass(frozen=True)
-class CampaignParams:
-    """Scope of an exhaustive enumeration."""
-
-    n: int
-    uniformity: str = "23"          # "3" or "23"
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
-        if self.uniformity not in ("3", "23"):
-            raise ValueError(f"uniformity must be '3' or '23', got {self.uniformity!r}")
 
 
 @dataclass
@@ -138,8 +128,12 @@ def _candidates(n: int, uniformity: str) -> tuple[tuple[Edge, ...], tuple[int, .
     return tuple(cands), bits
 
 
+_PRUNE = object()   # a step's verdict: do not extend this instance
+
+
 class _Walk:
-    """Mutable DFS state: pair coverage, shadow adjacency, incidences."""
+    """Mutable DFS state (pair coverage, shadow adjacency, incidences) and
+    the one labeled DFS that every exhaustive walk runs on it."""
 
     __slots__ = ("n", "cands", "C", "pair_bits", "pairs", "vmask", "adjbits",
                  "is3", "shcount", "cover", "adj", "incident", "stack",
@@ -180,8 +174,35 @@ class _Walk:
         self.stack = []
         self.covered = 0
 
-    def compatible(self, j: int) -> bool:
-        return not (self.covered & self.pair_bits[j])
+    def descend(self, acc, step, start: int, state, depth_cap: int | None,
+                units: list | None):
+        """The labeled DFS below the current instance.  Each compatible
+        candidate j >= ``start`` extends it in turn; ``step(acc, j, state)``
+        visits the extension and returns the child's state, or ``_PRUNE``
+        to skip its supersets.  At ``depth_cap`` edges the stack goes to
+        ``units`` instead of being extended."""
+        pair_bits = self.pair_bits
+        covered = self.covered
+        for j in range(start, self.C):
+            if covered & pair_bits[j]:
+                continue
+            self.add(j)
+            child = step(acc, j, state)
+            if child is not _PRUNE:
+                if depth_cap is not None and len(self.stack) >= depth_cap:
+                    units.append(tuple(self.stack))
+                else:
+                    self.descend(acc, step, j + 1, child, depth_cap, units)
+            self.remove(j)
+
+    def replay(self, prefix: tuple, advance, state):
+        """Rebuild the walk at a work unit's ``prefix`` and return its state,
+        folding ``advance(j, state)`` over the edges as they are added."""
+        self.reset()
+        for j in prefix:
+            self.add(j)
+            state = advance(j, state)
+        return state
 
     def add(self, j: int):
         self.covered |= self.pair_bits[j]
@@ -288,31 +309,32 @@ def _cycle_through(w: _Walk, j: int, lower: int):
 # public raw enumeration, canonical forms, random instances
 # ---------------------------------------------------------------------------
 
-def enumerate_hypergraphs(params: CampaignParams, visitor=None) -> int:
-    """Visit every labeled linear hypergraph in scope; returns the number
+def enumerate_hypergraphs(n: int, uniformity: str = "23", visitor=None) -> int:
+    """Visit every labeled linear hypergraph on ``n`` vertices whose edges
+    have the sizes of ``uniformity`` ("3" or "23"); returns the number
     visited.
 
     Instances come exactly once each, in strictly increasing lexicographic
     edge-set order; the visitor may return False to skip all supersets of
     the current instance.
     """
-    _check_cap(params.n, params.uniformity)
-    w = _Walk(params.n, params.uniformity)
-    count = 0
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if uniformity not in ("3", "23"):
+        raise ValueError(f"uniformity must be '3' or '23', got {uniformity!r}")
+    _check_cap(n, uniformity)
+    w = _Walk(n, uniformity)
 
-    def rec(start: int) -> None:
-        nonlocal count
-        count += 1
+    def step(count, j, state):
+        count[0] += 1
         if visitor is not None and visitor(w.snapshot()) is False:
-            return
-        for j in range(start, w.C):
-            if w.compatible(j):
-                w.add(j)
-                rec(j + 1)
-                w.remove(j)
+            return _PRUNE
+        return None
 
-    rec(0)
-    return count
+    count = [0]
+    if step(count, None, None) is not _PRUNE:   # the edgeless hypergraph
+        w.descend(count, step, 0, None, None, None)
+    return count[0]
 
 
 def random_linear(n: int, rng: random.Random, uniformity: str = "23") -> LinearHypergraph:
@@ -530,12 +552,21 @@ class _BoundCampaign:
         self.witness_limit = witness_limit
         self.walk = _Walk(n, uniformity)
 
-    # -- per-node visit; returns False when the node must not be extended --
-    def visit(self, acc: _BoundAcc, free: bool, m_edges: int, sh: int) -> bool:
+    def step(self, acc: _BoundAcc, j: int, sh: int):
+        """Visit the instance edge j just extended, whose parent's shadow has
+        ``sh`` edges; prune it when j creates a Berge path of length k."""
+        w = self.walk
         acc.visited += 1
-        if not free:
-            return False
+        if _creates_path(w, j, self.k):
+            return _PRUNE
+        sh += w.shcount[j]
+        self.visit_free(acc, sh)
+        return sh
+
+    def visit_free(self, acc: _BoundAcc, sh: int):
+        """Record a path-free instance whose shadow has ``sh`` edges."""
         acc.free += 1
+        m_edges = len(self.walk.stack)
         if m_edges > acc.max_edges:
             acc.max_edges = m_edges
         if sh > acc.max_shadow:
@@ -558,27 +589,6 @@ class _BoundCampaign:
                 "bound": str(Fraction(self.bound_rhs, self.bound_lhs)),
                 "instance": self.walk.payload(),
             })
-        return True
-
-    def descend(self, acc: _BoundAcc, start: int, m_edges: int, sh: int,
-                depth_cap: int | None, units: list | None):
-        w = self.walk
-        pair_bits = w.pair_bits
-        covered = w.covered
-        k = self.k
-        for j in range(start, w.C):
-            if covered & pair_bits[j]:
-                continue
-            w.add(j)
-            free = not _creates_path(w, j, k)
-            sh2 = sh + w.shcount[j]
-            extend = self.visit(acc, free, m_edges + 1, sh2)
-            if extend:
-                if depth_cap is not None and len(w.stack) >= depth_cap:
-                    units.append(tuple(w.stack))
-                else:
-                    self.descend(acc, j + 1, m_edges + 1, sh2, depth_cap, units)
-            w.remove(j)
 
     def new_acc(self) -> _BoundAcc:
         return _BoundAcc(limit=self.witness_limit, track_ties=self.collect_classes)
@@ -587,23 +597,20 @@ class _BoundCampaign:
     def run_prefix(self, prefix: tuple) -> _BoundAcc:
         """Walk the subtree strictly below ``prefix`` (worker side)."""
         w = self.walk
-        w.reset()
-        for j in prefix:
-            w.add(j)
+        sh = w.replay(prefix, lambda j, sh: sh + w.shcount[j], 0)
         acc = self.new_acc()
-        m_edges = len(prefix)
-        sh = sum(w.shcount[j] for j in prefix)
-        self.descend(acc, prefix[-1] + 1, m_edges, sh, None, None)
+        w.descend(acc, self.step, prefix[-1] + 1, sh, None, None)
         return acc
 
-    def run_top(self, depth_cap: int) -> tuple[_BoundAcc, list]:
+    def run_top(self, depth_cap: int | None) -> tuple[_BoundAcc, list]:
         """Walk depth <= depth_cap, collecting free depth-cap prefixes."""
         w = self.walk
         w.reset()
         acc = self.new_acc()
         units: list[tuple] = []
-        self.visit(acc, True, 0, 0)   # the edgeless hypergraph
-        self.descend(acc, 0, 0, 0, depth_cap, units)
+        acc.visited += 1
+        self.visit_free(acc, 0)   # the edgeless hypergraph
+        w.descend(acc, self.step, 0, 0, depth_cap, units)
         return acc, units
 
 
@@ -743,7 +750,7 @@ class _ClaimsCampaign:
         self.walk = _Walk(n, "23")
         self.tiny = n <= TINY_ALL_CYCLES
 
-    # ctx: (ell, cyc, defmask, third, pos, cmask, fullmask)
+    # ctx: (ell, cyc, defmask, third, pos, cmask)
     def make_ctx(self, cyc, covs):
         w = self.walk
         ell = len(cyc)
@@ -762,10 +769,10 @@ class _ClaimsCampaign:
                 third.append(ev[0] + ev[1] + ev[2] - cyc[i] - cyc[(i + 1) % ell])
             else:
                 third.append(-1)
-        return (ell, cyc, defmask, tuple(third), pos, cmask, (1 << ell) - 1)
+        return (ell, cyc, defmask, tuple(third), pos, cmask)
 
     def _s_l(self, ctx, u: int) -> tuple[int, int]:
-        ell, _cyc, defmask, third, pos, _cm, _fm = ctx
+        ell, _cyc, defmask, third, pos, _cm = ctx
         w = self.walk
         s_mask = 0
         for ei in w.incident[u]:
@@ -782,11 +789,11 @@ class _ClaimsCampaign:
                 l_mask |= 1 << t
         return s_mask, l_mask
 
-    def _record(self, acc: _ClaimsAcc, ctx, kind: str, us, detail: str):
+    def _record(self, acc: _ClaimsAcc, cycle, kind: str, us, detail: str):
         acc.violations.append({
             "kind": kind,
             "vertices": list(us),
-            "cycle": list(ctx[1]),
+            "cycle": list(cycle),
             "condition": detail,
             "instance": self.walk.payload(),
         })
@@ -796,9 +803,9 @@ class _ClaimsCampaign:
         s_mask, l_mask = self._s_l(ctx, u)
         acc.vertices += 1
         if claim_plus_hit(s_mask, l_mask, ell) is not None:
-            self._record(acc, ctx, "claim-plus", (u,), "(S∪L) ∩ shift(S,-1) nonempty")
+            self._record(acc, ctx[1], "claim-plus", (u,), "(S∪L) ∩ shift(S,-1) nonempty")
         if s_mask.bit_count() > ell >> 1:
-            self._record(acc, ctx, "s-size", (u,), "|S| exceeds floor(l/2)")
+            self._record(acc, ctx[1], "s-size", (u,), "|S| exceeds floor(l/2)")
         return s_mask, l_mask
 
     def _check_triple(self, acc: _ClaimsAcc, ctx, ei: int):
@@ -812,7 +819,7 @@ class _ClaimsCampaign:
             si, li = sl[i]
             for j in range(3):
                 if i != j and claim_pair_hit(si, li, sl[j][0], sl[j][1], ell, 2):
-                    self._record(acc, ctx, "claim-plus-plus", (ev[i], ev[j]),
+                    self._record(acc, ctx[1], "claim-plus-plus", (ev[i], ev[j]),
                                  "shifted overlap within an off-cycle hyperedge")
         emask = w.vmask[ei]
         for u in ev:
@@ -826,27 +833,22 @@ class _ClaimsCampaign:
                 if shared.bit_count() != 1:
                     continue
                 u1 = shared.bit_length() - 1
-                lefts = [v for v in ev if v != u1]
-                rights = [v for v in w.cands[fj] if v != u1]
-                sli = [self._s_l(ctx, v) for v in lefts]
-                slj = [self._s_l(ctx, v) for v in rights]
-                for (si, li), uv in zip(sli, lefts):
-                    for (sj, lj), vv in zip(slj, rights):
-                        acc.pairs += 1
-                        if claim_pair_hit(si, li, sj, lj, ell, 3):
-                            self._record(acc, ctx, "claim-triple", (uv, vv),
-                                         "shifted overlap across sharing hyperedges")
-                for (sj, lj), vv in zip(slj, rights):
-                    for (si, li), uv in zip(sli, lefts):
-                        acc.pairs += 1
-                        if claim_pair_hit(sj, lj, si, li, ell, 3):
-                            self._record(acc, ctx, "claim-triple", (vv, uv),
-                                         "shifted overlap across sharing hyperedges")
+                left = [(v, self._s_l(ctx, v)) for v in ev if v != u1]
+                right = [(v, self._s_l(ctx, v)) for v in w.cands[fj] if v != u1]
+                for xs, ys in ((left, right), (right, left)):
+                    for x, (sx, lx) in xs:
+                        for y, (sy, ly) in ys:
+                            acc.pairs += 1
+                            if claim_pair_hit(sx, lx, sy, ly, ell, 3):
+                                self._record(acc, ctx[1], "claim-triple", (x, y),
+                                             "shifted overlap across sharing hyperedges")
 
-    def _full_check(self, acc: _ClaimsAcc, ctx):
+    def _check_mask(self, acc: _ClaimsAcc, ctx, rest: int):
+        """Check each off-cycle vertex of the vertex mask ``rest`` and, once
+        each, the off-cycle triples at them."""
         w = self.walk
         cmask = ctx[5]
-        rest = ~cmask & ((1 << self.n) - 1)
+        rest &= ~cmask
         done = 0
         while rest:
             low = rest & -rest
@@ -858,18 +860,11 @@ class _ClaimsCampaign:
                     done |= 1 << ei
                     self._check_triple(acc, ctx, ei)
 
+    def _full_check(self, acc: _ClaimsAcc, ctx):
+        self._check_mask(acc, ctx, (1 << self.n) - 1)
+
     def _delta_check(self, acc: _ClaimsAcc, ctx, j: int):
-        w = self.walk
-        cmask = ctx[5]
-        done = 0
-        for u in w.cands[j]:
-            if (cmask >> u) & 1:
-                continue
-            self._check_vertex(acc, ctx, u)
-            for ei in w.incident[u]:
-                if w.is3[ei] and not (w.vmask[ei] & cmask) and not ((done >> ei) & 1):
-                    done |= 1 << ei
-                    self._check_triple(acc, ctx, ei)
+        self._check_mask(acc, ctx, self.walk.vmask[j])
 
     def _tiny_all_cycles(self, acc: _ClaimsAcc, ctx):
         """Object-level re-check on every longest cycle, both orientations."""
@@ -877,79 +872,54 @@ class _ClaimsCampaign:
         cycles = all_longest_berge_cycles(h)
         if ctx is None:
             if cycles:
-                self._record(acc, ("", ()), "solver-mismatch", (),
+                self._record(acc, (), "solver-mismatch", (),
                              "incremental context missing but a cycle exists")
             return
         if not cycles or cycles[0].length != ctx[0]:
-            self._record(acc, ctx, "solver-mismatch", (),
+            self._record(acc, ctx[1], "solver-mismatch", (),
                          "incremental cycle length disagrees with solver")
             return
         for cyc in cycles:
             for oriented in (cyc, _reverse_cycle(cyc)):
                 for v in acc.object_laws(h, oriented):
-                    self._record(acc, ctx, v.kind, v.us, v.condition)
+                    self._record(acc, ctx[1], v.kind, v.us, v.condition)
 
-    def descend(self, acc: _ClaimsAcc, start: int, ctx,
-                depth_cap: int | None, units: list | None):
-        w = self.walk
-        pair_bits = w.pair_bits
-        covered = w.covered
-        hist = acc.hist
-        tiny = self.tiny
-        for j in range(start, w.C):
-            if covered & pair_bits[j]:
-                continue
-            w.add(j)
-            found = _cycle_through(w, j, ctx[0] if ctx else 2)
-            acc.visited += 1
-            if found is not None:
-                ctx2 = self.make_ctx(found[0], found[1])
-                acc.cyclic += 1
-                hist[ctx2[0]] += 1
-                self._full_check(acc, ctx2)
-            else:
-                ctx2 = ctx
-                if ctx2 is not None:
-                    acc.cyclic += 1
-                    hist[ctx2[0]] += 1
-                    self._delta_check(acc, ctx2, j)
-            if tiny:
-                self._tiny_all_cycles(acc, ctx2)
-            if depth_cap is not None and len(w.stack) >= depth_cap:
-                units.append(tuple(w.stack))
-            else:
-                self.descend(acc, j + 1, ctx2, depth_cap, units)
-            w.remove(j)
+    def advance(self, j: int, ctx):
+        """The cycle context once edge j is added: a new one when j closes a
+        longer cycle than ``ctx``'s, else ``ctx`` itself."""
+        found = _cycle_through(self.walk, j, ctx[0] if ctx else 2)
+        return ctx if found is None else self.make_ctx(found[0], found[1])
 
-    def visit_root(self, acc: _ClaimsAcc):
+    def step(self, acc: _ClaimsAcc, j: int, ctx):
+        """Visit the instance edge j just extended: a new context is checked
+        in full, an inherited one at j's vertices only."""
         acc.visited += 1
+        child = self.advance(j, ctx)
+        if child is not ctx:
+            self._full_check(acc, child)
+        elif ctx is not None:
+            self._delta_check(acc, ctx, j)
+        if child is not None:
+            acc.cyclic += 1
+            acc.hist[child[0]] += 1
         if self.tiny:
-            self._tiny_all_cycles(acc, None)
-
-    def replay_ctx(self, prefix: tuple):
-        """Rebuild walk state and cycle context along ``prefix``."""
-        w = self.walk
-        w.reset()
-        ctx = None
-        for j in prefix:
-            w.add(j)
-            found = _cycle_through(w, j, ctx[0] if ctx else 2)
-            if found is not None:
-                ctx = self.make_ctx(found[0], found[1])
-        return ctx
+            self._tiny_all_cycles(acc, child)
+        return child
 
     def run_prefix(self, prefix: tuple) -> _ClaimsAcc:
-        ctx = self.replay_ctx(prefix)
+        ctx = self.walk.replay(prefix, self.advance, None)
         acc = _ClaimsAcc(self.n)
-        self.descend(acc, prefix[-1] + 1, ctx, None, None)
+        self.walk.descend(acc, self.step, prefix[-1] + 1, ctx, None, None)
         return acc
 
-    def run_top(self, depth_cap: int) -> tuple[_ClaimsAcc, list]:
+    def run_top(self, depth_cap: int | None) -> tuple[_ClaimsAcc, list]:
         self.walk.reset()
         acc = _ClaimsAcc(self.n)
         units: list[tuple] = []
-        self.visit_root(acc)   # the edgeless hypergraph
-        self.descend(acc, 0, None, depth_cap, units)
+        acc.visited += 1   # the edgeless hypergraph
+        if self.tiny:
+            self._tiny_all_cycles(acc, None)
+        self.walk.descend(acc, self.step, 0, None, depth_cap, units)
         return acc, units
 
 

@@ -66,14 +66,6 @@ class CycleContext:
     def length(self) -> int:
         return self.cycle.length
 
-    @property
-    def defining_vertices(self) -> tuple[int, ...]:
-        return self.cycle.vertices
-
-    @property
-    def defining_hyperedges(self) -> tuple[Edge, ...]:
-        return self.cycle.hyperedges
-
     @cached_property
     def position(self) -> dict[int, int]:
         return {v: i for i, v in enumerate(self.cycle.vertices)}
@@ -288,15 +280,17 @@ def check_laws(h: LinearHypergraph, ctx: CycleContext) -> tuple[list[Violation],
 
     Returns the violations (vertex laws first, then hyperedge laws, then
     sharing-pair laws) and the numbers of off-cycle vertices, off-cycle
-    triples and sharing pairs checked.
+    triples and sharing pairs checked.  Every off-cycle vertex is counted,
+    but only those in some edge are walked: an isolated vertex has empty S
+    and L, so it passes, and a huge vertex count costs nothing.
     """
-    off = off_cycle_vertices(h, ctx)
+    off = sorted(set().union(*h.edges) - ctx.position.keys())
     triples = off_cycle_triples(h, ctx)
     pairs = sharing_pairs(triples)
     found = [check_claim_plus(h, ctx, u) for u in off]
     found += [check_claim_plus_plus(h, ctx, t) for t in triples]
     found += [check_claim_triple(h, ctx, e1, e2) for e1, e2 in pairs]
-    return [v for v in found if v is not None], len(off), len(triples), len(pairs)
+    return [v for v in found if v is not None], h.n - ctx.length, len(triples), len(pairs)
 
 
 def off_cycle_vertices(h: LinearHypergraph, ctx: CycleContext) -> list[int]:

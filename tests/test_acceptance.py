@@ -32,7 +32,6 @@ from berge.constructions import (
     two_edge_clique,
 )
 from berge.enumeration import (
-    CampaignParams,
     _verify_bound,
     canonical_form,
     enumerate_hypergraphs,
@@ -201,8 +200,7 @@ def test_criterion_4_short_path_cases():
                     if s == best:
                         maxima.add(canonical_form(h))
 
-                enumerate_hypergraphs(CampaignParams(n=3, uniformity="23"),
-                                      keep)
+                enumerate_hypergraphs(3, "23", keep)
                 expect(best == r.max_shadow_edges and maxima == expected,
                        f"k=3 n=3: brute force disagrees with the campaign "
                        f"(max {best}, {len(maxima)} classes)")
@@ -231,7 +229,7 @@ def test_criterion_5_solver_oracle_equivalence():
             disagreements.append(h)
 
     for n in range(1, 6):
-        enumerate_hypergraphs(CampaignParams(n=n, uniformity="23"), compare)
+        enumerate_hypergraphs(n, "23", compare)
     sampled = 0
     for n in (4, 5, 6, 7):
         for i in range(250):

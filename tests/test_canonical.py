@@ -26,7 +26,6 @@ from berge.constructions import (
     two_edge_clique,
 )
 from berge.enumeration import (
-    CampaignParams,
     _BoundCampaign,
     _run_campaign,
     canonical_form,
@@ -65,7 +64,7 @@ def _assert_same_classes(instances):
 def test_every_mixed_instance_up_to_5():
     instances = []
     for n in range(1, 6):
-        enumerate_hypergraphs(CampaignParams(n=n, uniformity="23"), instances.append)
+        enumerate_hypergraphs(n, "23", instances.append)
     assert len(instances) == 2652
     _assert_same_classes(instances)
 

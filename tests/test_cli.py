@@ -305,6 +305,13 @@ def test_cycle_verbs_huge_vertex_count(tmp_path, argv, key):
     f = tmp_path / "huge.hg"
     f.write_text(f"{HUGE_N} 1\n0 1 2\n")
     assert _run_capped(argv + [str(f)])[key] is None
+    # a triangle: the laws are checked at the touched vertices only
+    f.write_text(f"{HUGE_N} 3\n0 1\n1 2\n0 2\n")
+    r = _run_capped(argv + [str(f)])
+    assert r[key] == 3
+    if key == "cycle_length":
+        assert r["checked_vertices"] == HUGE_N - 3
+        assert r["violations"] == []
 
 
 @pytest.mark.parametrize("n", [100_000, HUGE_N])

@@ -7,7 +7,8 @@ import pytest
 from berge import CapExceededError, shadow, validate
 from berge.constructions import matching_k2, star_k3, sts_bose
 from berge.enumeration import (
-    CampaignParams,
+    _BoundCampaign,
+    _ClaimsCampaign,
     canonical_form,
     enumerate_hypergraphs,
     random_linear,
@@ -48,54 +49,57 @@ def _brute_force_count(n, mixed):
     (3, True, 9),      # frozen regression pin
 ])
 def test_enumeration_counts_pinned(n, mixed, expected):
-    params = CampaignParams(n=n, uniformity="23" if mixed else "3")
-    assert enumerate_hypergraphs(params) == expected
+    assert enumerate_hypergraphs(n, "23" if mixed else "3") == expected
 
 
 @pytest.mark.parametrize("n,mixed", [(4, False), (5, False), (4, True)])
 def test_enumeration_counts_against_brute_force(n, mixed):
-    params = CampaignParams(n=n, uniformity="23" if mixed else "3")
-    assert enumerate_hypergraphs(params) == _brute_force_count(n, mixed)
+    assert enumerate_hypergraphs(n, "23" if mixed else "3") == _brute_force_count(n, mixed)
 
 
 def test_enumeration_is_lexicographically_increasing():
     seen = []
-    enumerate_hypergraphs(CampaignParams(n=5, uniformity="23"),
-                          lambda h: seen.append(h.edges))
+    enumerate_hypergraphs(5, "23", lambda h: seen.append(h.edges))
     assert all(a < b for a, b in zip(seen, seen[1:]))
 
 
 def test_enumeration_visitor_prune():
     # pruning at every nonempty instance leaves the empty one plus one level
-    params = CampaignParams(n=4, uniformity="3")
     visited = []
 
     def stop(h):
         visited.append(h)
         return h.m == 0
 
-    enumerate_hypergraphs(params, stop)
+    enumerate_hypergraphs(4, "3", stop)
     assert len(visited) == 1 + 4  # empty + each single triple
 
 
 def test_enumeration_cap():
     with pytest.raises(CapExceededError):
-        enumerate_hypergraphs(CampaignParams(n=9, uniformity="23"))
+        enumerate_hypergraphs(9, "23")
+
+
+def test_enumeration_rejects_bad_scope():
+    with pytest.raises(ValueError):
+        enumerate_hypergraphs(0)
+    with pytest.raises(ValueError):
+        enumerate_hypergraphs(4, "2")
 
 
 def test_enumeration_cap_env_override(monkeypatch):
     monkeypatch.setenv("HX_CAP_N", "3")
     with pytest.raises(CapExceededError):
-        enumerate_hypergraphs(CampaignParams(n=4, uniformity="3"))
+        enumerate_hypergraphs(4, "3")
     monkeypatch.setenv("HX_CAP_N", "4")
-    assert enumerate_hypergraphs(CampaignParams(n=4, uniformity="3")) == 5
+    assert enumerate_hypergraphs(4, "3") == 5
 
 
 def test_enumeration_isomorphism_classes():
     # n=3 mixed: 9 labeled instances in 5 classes (empty, one pair,
     # two-pair path, triangle, triple)
     labeled = []
-    enumerate_hypergraphs(CampaignParams(n=3, uniformity="23"), labeled.append)
+    enumerate_hypergraphs(3, "23", labeled.append)
     assert len(labeled) == 9
     assert len({canonical_form(h) for h in labeled}) == 5
 
@@ -228,7 +232,7 @@ def test_claims_exhaustive_small():
         else:
             hist[str(ell)] = hist.get(str(ell), 0) + 1
 
-    assert enumerate_hypergraphs(CampaignParams(n=5, uniformity="23"), count) == 2544
+    assert enumerate_hypergraphs(5, "23", count) == 2544
     assert (hist, acyclic) == (r.cycle_length_histogram, r.acyclic_instances)
 
 
@@ -262,3 +266,32 @@ def test_campaign_determinism_across_jobs():
         d1.pop("runtime_seconds")
         d2.pop("runtime_seconds")
         assert d1 == d2
+
+
+def _bound_summary(acc):
+    return (acc.visited, acc.free, acc.max_edges, acc.max_shadow, acc.best_value,
+            sorted(acc.witnesses), None if acc.ties is None else sorted(acc.ties),
+            sorted(acc.violations, key=repr))
+
+
+def _claims_summary(acc):
+    return (acc.visited, acc.cyclic, acc.hist, acc.vertices, acc.triples, acc.pairs,
+            sorted(acc.violations, key=repr))
+
+
+@pytest.mark.parametrize("build,summary", [
+    (lambda: _BoundCampaign(5, 4, "23", "shadow", 2, 3 * 5, False, 8), _bound_summary),
+    (lambda: _BoundCampaign(5, 3, "23", "shadow", 2, 3 * 4, True, 8), _bound_summary),
+    (lambda: _ClaimsCampaign(5), _claims_summary),
+], ids=["theorem-shadow", "remark", "claims"])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_split_walk_matches_unsplit(build, summary, depth):
+    # run_top at any split depth plus every replayed unit is the whole walk
+    camp = build()
+    whole, none = camp.run_top(None)
+    assert none == []
+    acc, units = camp.run_top(depth)
+    assert units and all(len(u) == depth for u in units)
+    for unit in units:
+        acc.merge(camp.run_prefix(unit))
+    assert summary(acc) == summary(whole)

@@ -9,7 +9,7 @@ size-3 edges) forces the whole connected hypergraph to be that cycle.
 import itertools
 
 from berge import components, has_berge_path, longest_berge_cycle, shadow
-from berge.enumeration import CampaignParams, enumerate_hypergraphs
+from berge.enumeration import enumerate_hypergraphs
 
 
 def _path4_free_connected(n):
@@ -23,7 +23,7 @@ def _path4_free_connected(n):
             out.append(h)
         return True
 
-    enumerate_hypergraphs(CampaignParams(n=n, uniformity="23"), visit)
+    enumerate_hypergraphs(n, "23", visit)
     return out
 
 

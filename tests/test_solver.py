@@ -19,7 +19,7 @@ from berge import (
     restrict,
     validate,
 )
-from berge.enumeration import CampaignParams, enumerate_hypergraphs, random_linear
+from berge.enumeration import enumerate_hypergraphs, random_linear
 from berge.solver import _cycle_core
 
 
@@ -122,7 +122,7 @@ def test_solver_matches_oracle_exhaustive_small():
             if a != b:
                 mism.append((h, a, b))
 
-        enumerate_hypergraphs(CampaignParams(n=n, uniformity="23"), cmp)
+        enumerate_hypergraphs(n, "23", cmp)
         assert not mism
 
 
@@ -233,8 +233,7 @@ def test_witness_is_lexicographic_minimum():
 def test_path_contract_exhaustive_small():
     # every labeled linear {2,3}-uniform hypergraph on at most 5 vertices
     for n in range(1, 6):
-        enumerate_hypergraphs(CampaignParams(n=n, uniformity="23"),
-                              _check_path_contract)
+        enumerate_hypergraphs(n, "23", _check_path_contract)
 
 
 @pytest.mark.parametrize("uniformity", ["23", "3"])
@@ -365,8 +364,7 @@ def _check_cycle_contract(h):
 def test_cycle_witness_contract_exhaustive_small():
     # every labeled linear {2,3}-uniform hypergraph on at most 5 vertices
     for n in range(1, 6):
-        enumerate_hypergraphs(CampaignParams(n=n, uniformity="23"),
-                              _check_cycle_contract)
+        enumerate_hypergraphs(n, "23", _check_cycle_contract)
 
 
 @pytest.mark.parametrize("uniformity", ["23", "3"])

@@ -8,7 +8,9 @@ from berge import CapExceededError, shadow, validate
 from berge.constructions import matching_k2, star_k3, sts_bose
 from berge.enumeration import (
     _BoundCampaign,
+    _ClaimsAcc,
     _ClaimsCampaign,
+    _verify_bound,
     canonical_form,
     enumerate_hypergraphs,
     random_linear,
@@ -17,7 +19,7 @@ from berge.enumeration import (
     verify_theorem_shadow,
     verify_theorem_uniform,
 )
-from berge.solver import oracle_longest_cycle
+from berge.solver import has_berge_path, oracle_longest_cycle
 
 
 def _brute_force_count(n, mixed):
@@ -172,6 +174,32 @@ def test_theorem_shadow_small():
     assert r.holds and r.max_shadow_edges == 3
 
 
+@pytest.mark.parametrize("n,uniformity,k",
+                         [(5, "23", k) for k in range(1, 6)]
+                         + [(6, "3", k) for k in range(1, 7)]
+                         + [(6, "23", 4), (6, "23", 5)])
+def test_bound_prune_against_brute_force(n, uniformity, k):
+    # the walk's anchored path test against the exact solver on every
+    # labeled instance; the path-free family is closed under subsets, so
+    # pruning the brute force on a path loses no path-free instance
+    free = max_edges = max_shadow = 0
+
+    def visit(h):
+        nonlocal free, max_edges, max_shadow
+        if has_berge_path(h, k):
+            return False
+        free += 1
+        max_edges = max(max_edges, h.m)
+        max_shadow = max(max_shadow, shadow(h).edge_count)
+        return True
+
+    enumerate_hypergraphs(n, uniformity, visit)
+    r = _verify_bound("brute-force", n, k, uniformity, "shadow", 1, n * n, 1, 8)
+    assert (r.bp_free_count, r.max_shadow_edges) == (free, max_shadow)
+    if uniformity == "3":
+        assert r.max_hyperedges == max_edges
+
+
 def test_theorem_campaigns_reject_small_k():
     with pytest.raises(ValueError):
         verify_theorem_uniform(5, 3)
@@ -241,6 +269,49 @@ def test_claims_exhaustive_exercises_triples():
     assert r.holds
     assert r.instances_checked == 173808
     assert r.checked_triples > 0
+
+
+def _sharing_pair_instances():
+    """Seeded instances with two off-cycle triples sharing a vertex: an
+    (n-5)-cycle of 2-edges, the triples {l, l+1, l+2} and {l, l+3, l+4},
+    and up to four random linear edges, as sorted candidate indices."""
+    for n in (8, 9, 10):
+        ell = n - 5
+        camp = _ClaimsCampaign(n)
+        cands, bits = camp.walk.cands, camp.walk.pair_bits
+        base = [tuple(sorted((i, (i + 1) % ell))) for i in range(ell)]
+        base += [(ell, ell + 1, ell + 2), (ell, ell + 3, ell + 4)]
+        for i in range(200):
+            rng = random.Random(f"sharing:{n}:{i}")
+            chosen = {cands.index(e) for e in base}
+            covered = 0
+            for c in chosen:
+                covered |= bits[c]
+            for _ in range(rng.randint(0, 4)):
+                c = rng.randrange(len(cands))
+                if not covered & bits[c]:
+                    covered |= bits[c]
+                    chosen.add(c)
+            yield camp, tuple(sorted(chosen))
+
+
+def test_claims_sharing_pairs_pinned():
+    # exhaustive scopes within the caps never hold two off-cycle triples
+    # that share a vertex, so the sharing-pair checks are pinned here
+    rows = []
+    paired = 0
+    for camp, prefix in _sharing_pair_instances():
+        ctx = camp.walk.replay(prefix, camp.advance, None)
+        acc = _ClaimsAcc(camp.n)
+        camp._full_check(acc, ctx)
+        found = [(v["kind"], v["vertices"]) for v in acc.violations]
+        rows.append((acc.vertices, acc.triples, acc.pairs, found))
+        paired += acc.pairs > 0
+        if ctx[0] >= 4:   # only the known length-3 false positive may fire
+            assert found == []
+    assert paired >= 500
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "850cb881ea26523a4428c92638d9fc8a44f16ce194b5ac669a72f0d9b77c83a5"
 
 
 def test_claims_random_small():

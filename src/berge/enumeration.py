@@ -12,7 +12,9 @@ with the state its parent handed down, and returns the child's state or
 * bound campaigns carry the shadow size and prune on "has a Berge path of
   length >= k", searching only for paths through the new edge (the
   forbidden-path family is downward closed, so every path-free hypergraph
-  is still reached);
+  is still reached): one arm search from each anchored seed a, b of
+  ``_Walk.seeds``, which grows the arm at a and, at each of its nodes,
+  hands the edges still needed to the arm at b;
 * the structural-law campaign carries a longest Berge cycle, searching
   only for cycles through the new edge (any strictly longer cycle must use
   it); an inherited cycle context is re-checked only at the new edge's
@@ -67,7 +69,7 @@ def _check_cap(n: int, scope: str) -> None:
     try:
         cap = default if raw is None else int(raw)
     except ValueError:
-        raise CapExceededError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
+        raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
     if n > cap:
         kind = "random" if scope == "random" else "exhaustive"
         raise CapExceededError(
@@ -256,42 +258,28 @@ def _creates_path(w: _Walk, j: int, k: int) -> bool:
     if d1 < k + 1 or d2 < k - 1:
         return False
 
-    def right(wv: int, cprev: int, vis: int, need: int, slots: int) -> bool:
+    def arm(wv: int, cprev: int, vis: int, need: int, slots: int, b: int) -> bool:
+        # grow the arm at wv; while b >= 0 this is the arm at a, which first
+        # hands what is still needed to the arm at b (passed on with b = -1)
         if need <= 0:
             return True
         if need > slots:
             return False
-        m = adj[wv] & ~vis
-        while m:
-            low = m & -m
-            x = low.bit_length() - 1
-            m ^= low
-            c = cover[wv * n + x]
-            if c != cprev and right(x, c, vis | low, need - 1, slots - 1):
-                return True
-        return False
-
-    def left(wv: int, cprev: int, vis: int, used: int, slots: int, b: int) -> bool:
-        if right(b, j, vis, k - 1 - used, slots):
+        if b >= 0 and arm(b, j, vis, need, slots, -1):
             return True
-        if used >= k - 1:
-            return False
         m = adj[wv] & ~vis
         while m:
             low = m & -m
             x = low.bit_length() - 1
             m ^= low
             c = cover[wv * n + x]
-            if c != cprev and left(x, c, vis | low, used + 1, slots - 1, b):
+            if c != cprev and arm(x, c, vis | low, need - 1, slots - 1, b):
                 return True
         return False
 
-    ev = w.cands[j]
-    for ai in range(len(ev)):
-        for bi in range(ai + 1, len(ev)):
-            a, b = ev[ai], ev[bi]
-            if left(a, j, (1 << a) | (1 << b), 0, n - 2, b):
-                return True
+    for a, b, _j, pair in w.seeds[j]:
+        if arm(a, j, pair, k - 1, n - 2, b):
+            return True
     return False
 
 
@@ -474,8 +462,9 @@ def _worker_run(unit):
 def _run_campaign(spec, jobs: int | None):
     """Build the campaign ``factory(*args)`` of ``spec = (factory, args)``,
     call its ``run_top``, then ``run_prefix`` on each work unit, on ``jobs``
-    processes (default: one per CPU), merging every partial accumulator
-    into the top's.  Returns the campaign and the merged accumulator."""
+    processes (default: one per CPU) but never more than there are units,
+    merging every partial accumulator into the top's.  Returns the
+    campaign and the merged accumulator."""
     factory, args = spec
     camp = factory(*args)
     acc, units = camp.run_top(_SPLIT_DEPTH)
@@ -483,6 +472,7 @@ def _run_campaign(spec, jobs: int | None):
         return camp, acc
     if jobs is None:
         jobs = os.cpu_count() or 1
+    jobs = min(jobs, len(units))
     if jobs <= 1:
         for unit in units:
             acc.merge(camp.run_prefix(unit))
@@ -750,29 +740,25 @@ class _ClaimsCampaign:
         self.walk = _Walk(n, "23")
         self.tiny = n <= TINY_ALL_CYCLES
 
-    # ctx: (ell, cyc, defmask, third, pos, cmask)
+    # ctx: (ell, cyc, defmask, lmask, pos, cmask); lmask[u] is L(u), the
+    # cycle positions i whose defining edge is {cyc[i], cyc[i+1], u}
     def make_ctx(self, cyc, covs):
         w = self.walk
         ell = len(cyc)
         pos = [-1] * self.n
-        cmask = 0
-        for i, v in enumerate(cyc):
+        lmask = [0] * self.n
+        cmask = defmask = 0
+        for i, (v, ci) in enumerate(zip(cyc, covs)):
             pos[v] = i
             cmask |= 1 << v
-        defmask = 0
-        for ci in covs:
             defmask |= 1 << ci
-        third = []
-        for i in range(ell):
-            ev = w.cands[covs[i]]
+            ev = w.cands[ci]
             if len(ev) == 3:
-                third.append(ev[0] + ev[1] + ev[2] - cyc[i] - cyc[(i + 1) % ell])
-            else:
-                third.append(-1)
-        return (ell, cyc, defmask, tuple(third), pos, cmask)
+                lmask[ev[0] + ev[1] + ev[2] - v - cyc[(i + 1) % ell]] |= 1 << i
+        return (ell, cyc, defmask, lmask, pos, cmask)
 
     def _s_l(self, ctx, u: int) -> tuple[int, int]:
-        ell, _cyc, defmask, third, pos, _cm = ctx
+        _ell, _cyc, defmask, lmask, pos, _cm = ctx
         w = self.walk
         s_mask = 0
         for ei in w.incident[u]:
@@ -783,11 +769,7 @@ class _ClaimsCampaign:
                     p = pos[x]
                     if p >= 0:
                         s_mask |= 1 << p
-        l_mask = 0
-        for t in range(ell):
-            if third[t] == u:
-                l_mask |= 1 << t
-        return s_mask, l_mask
+        return s_mask, lmask[u]
 
     def _record(self, acc: _ClaimsAcc, cycle, kind: str, us, detail: str):
         acc.violations.append({
@@ -821,20 +803,13 @@ class _ClaimsCampaign:
                 if i != j and claim_pair_hit(si, li, sl[j][0], sl[j][1], ell, 2):
                     self._record(acc, ctx[1], "claim-plus-plus", (ev[i], ev[j]),
                                  "shifted overlap within an off-cycle hyperedge")
-        emask = w.vmask[ei]
         for u in ev:
+            # by linearity an off-cycle triple fj through u meets ev in u alone
+            left = [(v, s) for v, s in zip(ev, sl) if v != u]
             for fj in w.incident[u]:
-                if fj == ei or not w.is3[fj]:
+                if fj == ei or not w.is3[fj] or w.vmask[fj] & cmask:
                     continue
-                fmask = w.vmask[fj]
-                if fmask & cmask:
-                    continue
-                shared = emask & fmask
-                if shared.bit_count() != 1:
-                    continue
-                u1 = shared.bit_length() - 1
-                left = [(v, self._s_l(ctx, v)) for v in ev if v != u1]
-                right = [(v, self._s_l(ctx, v)) for v in w.cands[fj] if v != u1]
+                right = [(v, self._s_l(ctx, v)) for v in w.cands[fj] if v != u]
                 for xs, ys in ((left, right), (right, left)):
                     for x, (sx, lx) in xs:
                         for y, (sy, ly) in ys:

@@ -145,6 +145,12 @@ def test_verify_cap_exit(capsys):
     assert main(["verify", "theorem-shadow", "--n", "9", "--k", "4"]) == 2
 
 
+def test_malformed_cap_env_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("HX_CAP_N", "abc")
+    assert main(["verify", "claims", "--n", "3"]) == 2
+    assert "error [usage]: HX_CAP_N must be an integer" in capsys.readouterr().err
+
+
 def test_class_count_at_n9(monkeypatch, capsys):
     # HX_CAP_N lifts the walk's cap; the extremal classes are then counted
     monkeypatch.setenv("HX_CAP_N", "9")

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from berge import CapExceededError, shadow, validate
+from berge import CapExceededError, enumeration, shadow, validate
 from berge.constructions import matching_k2, star_k3, sts_bose
 from berge.enumeration import (
     _BoundCampaign,
@@ -337,6 +337,37 @@ def test_campaign_determinism_across_jobs():
         d1.pop("runtime_seconds")
         d2.pop("runtime_seconds")
         assert d1 == d2
+
+
+def test_campaign_workers_capped_by_units(monkeypatch):
+    # a pool never has more workers than work units, and one is no pool
+    sizes = []
+
+    class SerialPool:
+        # records the worker count and runs every unit in this process
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, units, chunksize=1):
+            return map(fn, units)
+
+    monkeypatch.setattr(enumeration, "Pool", SerialPool)
+    monkeypatch.setattr(enumeration, "_WORKER", {})
+    for n, jobs, want in ((3, 8, []), (4, 64, [32]), (4, 2, [2])):
+        sizes.clear()
+        d = verify_claims(n, jobs=jobs).as_dict()   # n = 3: one unit, n = 4: 32
+        assert sizes == want
+        serial = verify_claims(n, jobs=1).as_dict()
+        d.pop("runtime_seconds")
+        serial.pop("runtime_seconds")
+        assert d == serial
 
 
 def _bound_summary(acc):

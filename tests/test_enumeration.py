@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from berge import CapExceededError, enumeration, shadow, validate
+from berge import CapExceededError, enumeration, format_hg, shadow, validate
 from berge.constructions import matching_k2, star_k3, sts_bose
 from berge.enumeration import (
     _BoundCampaign,
@@ -181,23 +181,33 @@ def test_theorem_shadow_small():
 def test_bound_prune_against_brute_force(n, uniformity, k):
     # the walk's anchored path test against the exact solver on every
     # labeled instance; the path-free family is closed under subsets, so
-    # pruning the brute force on a path loses no path-free instance
+    # pruning the brute force on a path loses no path-free instance.  The
+    # brute force visits every compatible child of every path-free
+    # instance, as the campaign counts them, and in lexicographic order
     free = max_edges = max_shadow = 0
+    at_max = []   # path-free instances at the running maximum shadow
 
     def visit(h):
-        nonlocal free, max_edges, max_shadow
+        nonlocal free, max_edges, max_shadow, at_max
         if has_berge_path(h, k):
             return False
         free += 1
         max_edges = max(max_edges, h.m)
-        max_shadow = max(max_shadow, shadow(h).edge_count)
+        sh = shadow(h).edge_count
+        if sh > max_shadow:
+            max_shadow, at_max = sh, []
+        if sh == max_shadow and len(at_max) < 8:
+            at_max.append(format_hg(h))
         return True
 
-    enumerate_hypergraphs(n, uniformity, visit)
-    r = _verify_bound("brute-force", n, k, uniformity, "shadow", 1, n * n, 1, 8)
-    assert (r.bp_free_count, r.max_shadow_edges) == (free, max_shadow)
-    if uniformity == "3":
-        assert r.max_hyperedges == max_edges
+    checked = enumerate_hypergraphs(n, uniformity, visit)
+    for jobs in (1, 2):
+        r = _verify_bound("brute-force", n, k, uniformity, "shadow", 1, n * n, jobs, 8)
+        assert (r.bp_free_count, r.max_shadow_edges) == (free, max_shadow)
+        assert r.instances_checked == checked
+        assert r.extremal_witnesses == at_max
+        if uniformity == "3":
+            assert r.max_hyperedges == max_edges
 
 
 def test_theorem_campaigns_reject_small_k():

@@ -2,8 +2,10 @@
 
 One labeled walk, ``_Walk.descend``, visits all linear {2,3}-uniform (or
 3-uniform) hypergraphs on n labeled vertices as a DFS over candidate edges
-in lexicographic order, skipping any candidate whose pair coverage would
-break linearity.  Each exhaustive enumeration is a *step* on that walk:
+in lexicographic order.  Each node carries the bitmask of its live
+candidates, those after its last edge that keep it linear; a child's are
+its parent's later ones less those that share a vertex pair with the new
+edge.  Each exhaustive enumeration is a *step* on that walk:
 ``step(acc, j, state)`` visits the instance that edge j has just extended,
 with the state its parent handed down, and returns the child's state or
 ``_PRUNE``.  The steps keep their expensive state incremental:
@@ -14,7 +16,10 @@ with the state its parent handed down, and returns the child's state or
   forbidden-path family is downward closed, so every path-free hypergraph
   is still reached): one arm search from each anchored seed a, b of
   ``_Walk.seeds``, which grows the arm at a and, at each of its nodes,
-  hands the edges still needed to the arm at b;
+  hands the edges still needed to the arm at b.  Supersets inherit the
+  path, so each node tests its live candidates once, before visiting any
+  child, and hands the ones that failed down as a ``dead`` mask: a search
+  runs once per branch, not once per instance below it;
 * the structural-law campaign carries a longest Berge cycle, searching
   only for cycles through the new edge (any strictly longer cycle must use
   it); an inherited cycle context is re-checked only at the new edge's
@@ -22,11 +27,11 @@ with the state its parent handed down, and returns the child's state or
 
 Every campaign runs through one driver (``_run_campaign``): ``run_top``
 does the work above a fixed DFS prefix depth and returns the work units
-below it (DFS prefixes, or single sample indices for random
-campaigns), and ``run_prefix`` runs one unit, serially or in a process
-pool, after ``_Walk.replay`` has rebuilt the walk and the step's state at
-the prefix.  Partial results merge commutatively, so reports are
-identical for any job count.
+below it (DFS prefixes with their dead masks, or single sample indices
+for random campaigns), and ``run_prefix`` runs one unit, serially or in a
+process pool, after ``_Walk.replay`` has rebuilt the walk and the step's
+state at the prefix.  With one job the walk is not split.  Partial
+results merge commutatively, so reports are identical for any job count.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import itertools
 import os
 import random
 import time
+import types
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from multiprocessing import Pool
@@ -130,6 +136,16 @@ def _candidates(n: int, uniformity: str) -> tuple[tuple[Edge, ...], tuple[int, .
     return tuple(cands), bits
 
 
+@functools.lru_cache(maxsize=None)
+def _compatible_after(n: int, uniformity: str) -> tuple[int, ...]:
+    """For each candidate j, the bitmask of the later candidates that share
+    no vertex pair with it, so may follow it in a linear instance.  Built
+    once per scope."""
+    _cands, bits = _candidates(n, uniformity)
+    return tuple(sum(1 << i for i in range(j + 1, len(bits)) if not bits[i] & bits[j])
+                 for j in range(len(bits)))
+
+
 _PRUNE = object()   # a step's verdict: do not extend this instance
 
 
@@ -137,14 +153,14 @@ class _Walk:
     """Mutable DFS state (pair coverage, shadow adjacency, incidences) and
     the one labeled DFS that every exhaustive walk runs on it."""
 
-    __slots__ = ("n", "cands", "C", "pair_bits", "pairs", "vmask", "adjbits",
-                 "is3", "shcount", "cover", "adj", "incident", "stack",
-                 "covered", "seeds")
+    __slots__ = ("n", "cands", "pair_bits", "after", "pairs", "vmask",
+                 "adjbits", "is3", "shcount", "cover", "adj", "incident",
+                 "stack", "seeds")
 
     def __init__(self, n: int, uniformity: str):
         self.n = n
         self.cands, self.pair_bits = _candidates(n, uniformity)
-        self.C = len(self.cands)
+        self.after = _compatible_after(n, uniformity)
         self.pairs = []   # packed pair keys, both vertex orders, for cover[]
         self.vmask = []
         self.adjbits = []
@@ -174,27 +190,58 @@ class _Walk:
         self.adj = [0] * n
         self.incident = [[] for _ in range(n)]
         self.stack = []
-        self.covered = 0
 
-    def descend(self, acc, step, start: int, state, depth_cap: int | None,
-                units: list | None):
-        """The labeled DFS below the current instance.  Each compatible
-        candidate j >= ``start`` extends it in turn; ``step(acc, j, state)``
-        visits the extension and returns the child's state, or ``_PRUNE``
-        to skip its supersets.  At ``depth_cap`` edges the stack goes to
-        ``units`` instead of being extended."""
-        pair_bits = self.pair_bits
-        covered = self.covered
-        for j in range(start, self.C):
-            if covered & pair_bits[j]:
+    def live(self) -> int:
+        """The candidates that extend the current instance: after its last
+        edge and sharing no vertex pair with any of its edges."""
+        live = (1 << len(self.cands)) - 1
+        for j in self.stack:
+            live &= self.after[j]
+        return live
+
+    def descend(self, acc, step, live: int, state, depth_cap: int | None,
+                units: list | None, test=None, dead: int = 0):
+        """The labeled DFS below the current instance, whose extending
+        candidates are the bitmask ``live`` (see ``live()``).  Each extends
+        it in turn, in ascending order, and is counted in ``acc.visited``;
+        ``step(acc, j, state)`` visits the extension and returns the child's
+        state, or ``_PRUNE`` to skip the instances that extend it with later
+        candidates.  At ``depth_cap`` edges the stack and ``dead`` go to
+        ``units`` instead of being extended.
+
+        ``test``, when given, is a monotone prune: ``test(mask)`` returns
+        the candidates of ``mask`` whose extension fails it, and every
+        instance that contains a failing extension fails it too.  ``dead``
+        holds the candidates that failed here or at an ancestor.  Each node
+        tests its live candidates that are not dead, once, before visiting
+        any child; dead candidates are counted but neither visited nor
+        tested again below.  In such a walk, a child with no live candidates
+        of its own is visited with only the stack pushed (its step must read
+        nothing else there) and goes to no unit."""
+        acc.visited += live.bit_count()
+        if test is not None:
+            dead |= test(live & ~dead)
+        after = self.after
+        stack = self.stack
+        while live:
+            low = live & -live
+            live ^= low
+            if dead & low:
+                continue
+            j = low.bit_length() - 1
+            below = live & after[j]
+            if test is not None and not below:   # a leaf of a pruned walk
+                stack.append(j)
+                step(acc, j, state)
+                stack.pop()
                 continue
             self.add(j)
             child = step(acc, j, state)
             if child is not _PRUNE:
-                if depth_cap is not None and len(self.stack) >= depth_cap:
-                    units.append(tuple(self.stack))
-                else:
-                    self.descend(acc, step, j + 1, child, depth_cap, units)
+                if depth_cap is not None and len(stack) >= depth_cap:
+                    units.append((tuple(stack), dead))
+                elif below:
+                    self.descend(acc, step, below, child, depth_cap, units, test, dead)
             self.remove(j)
 
     def replay(self, prefix: tuple, advance, state):
@@ -207,7 +254,6 @@ class _Walk:
         return state
 
     def add(self, j: int):
-        self.covered |= self.pair_bits[j]
         for p in self.pairs[j]:
             self.cover[p] = j
         for v, bits in self.adjbits[j]:
@@ -217,7 +263,6 @@ class _Walk:
 
     def remove(self, j: int):
         self.stack.pop()
-        self.covered ^= self.pair_bits[j]
         for p in self.pairs[j]:
             self.cover[p] = -1
         for v, bits in self.adjbits[j]:
@@ -244,8 +289,6 @@ def _creates_path(w: _Walk, j: int, k: int) -> bool:
     """Does the hypergraph gain a Berge path of length >= k when edge j
     (already added) is present?  Only paths through j can be new."""
     n = w.n
-    if k > n - 1 or k > len(w.stack):
-        return False
     adj, cover = w.adj, w.cover
     # quick degree feasibility: k+1 vertices touched, k-1 of them internal
     d1 = d2 = 0
@@ -303,8 +346,9 @@ def enumerate_hypergraphs(n: int, uniformity: str = "23", visitor=None) -> int:
     visited.
 
     Instances come exactly once each, in strictly increasing lexicographic
-    edge-set order; the visitor may return False to skip all supersets of
-    the current instance.
+    edge-set order.  The visitor may return False to skip the instances
+    that extend the current one with candidate edges after its last edge;
+    its other supersets, those with an earlier edge it lacks, still come.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -313,16 +357,15 @@ def enumerate_hypergraphs(n: int, uniformity: str = "23", visitor=None) -> int:
     _check_cap(n, uniformity)
     w = _Walk(n, uniformity)
 
-    def step(count, j, state):
-        count[0] += 1
+    def step(acc, j, state):
         if visitor is not None and visitor(w.snapshot()) is False:
             return _PRUNE
         return None
 
-    count = [0]
-    if step(count, None, None) is not _PRUNE:   # the edgeless hypergraph
-        w.descend(count, step, 0, None, None, None)
-    return count[0]
+    acc = types.SimpleNamespace(visited=1)   # the edgeless hypergraph
+    if step(acc, None, None) is not _PRUNE:
+        w.descend(acc, step, w.live(), None, None, None)
+    return acc.visited
 
 
 def random_linear(n: int, rng: random.Random, uniformity: str = "23") -> LinearHypergraph:
@@ -463,15 +506,14 @@ def _run_campaign(spec, jobs: int | None):
     """Build the campaign ``factory(*args)`` of ``spec = (factory, args)``,
     call its ``run_top``, then ``run_prefix`` on each work unit, on ``jobs``
     processes (default: one per CPU) but never more than there are units,
-    merging every partial accumulator into the top's.  Returns the
-    campaign and the merged accumulator."""
+    merging every partial accumulator into the top's.  With one job the
+    exhaustive walks are not split.  Returns the campaign and the merged
+    accumulator."""
     factory, args = spec
     camp = factory(*args)
-    acc, units = camp.run_top(_SPLIT_DEPTH)
-    if not units:
-        return camp, acc
     if jobs is None:
         jobs = os.cpu_count() or 1
+    acc, units = camp.run_top(None if jobs <= 1 else _SPLIT_DEPTH)
     jobs = min(jobs, len(units))
     if jobs <= 1:
         for unit in units:
@@ -542,14 +584,30 @@ class _BoundCampaign:
         self.witness_limit = witness_limit
         self.walk = _Walk(n, uniformity)
 
-    def step(self, acc: _BoundAcc, j: int, sh: int):
-        """Visit the instance edge j just extended, whose parent's shadow has
-        ``sh`` edges; prune it when j creates a Berge path of length k."""
+    def path_hits(self, cands: int) -> int:
+        """The walk's prune test: the candidates of the mask ``cands`` whose
+        edge gives the current instance a Berge path of length k.  Such a
+        path has k edges and k + 1 vertices, so none is found below k - 1
+        edges or on n <= k vertices."""
         w = self.walk
-        acc.visited += 1
-        if _creates_path(w, j, self.k):
-            return _PRUNE
-        sh += w.shcount[j]
+        k = self.k
+        if len(w.stack) + 1 < k or w.n <= k:
+            return 0
+        hits = 0
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            j = low.bit_length() - 1
+            w.add(j)
+            if _creates_path(w, j, k):
+                hits |= low
+            w.remove(j)
+        return hits
+
+    def step(self, acc: _BoundAcc, j: int, sh: int) -> int:
+        """Visit the path-free instance edge j just extended, whose parent's
+        shadow has ``sh`` edges."""
+        sh += self.walk.shcount[j]
         self.visit_free(acc, sh)
         return sh
 
@@ -584,12 +642,14 @@ class _BoundCampaign:
         return _BoundAcc(limit=self.witness_limit, track_ties=self.collect_classes)
 
     # -- drivers --
-    def run_prefix(self, prefix: tuple) -> _BoundAcc:
-        """Walk the subtree strictly below ``prefix`` (worker side)."""
+    def run_prefix(self, unit: tuple) -> _BoundAcc:
+        """Walk the subtree strictly below a unit's prefix, with the
+        candidates already found dead above it (worker side)."""
+        prefix, dead = unit
         w = self.walk
         sh = w.replay(prefix, lambda j, sh: sh + w.shcount[j], 0)
         acc = self.new_acc()
-        w.descend(acc, self.step, prefix[-1] + 1, sh, None, None)
+        w.descend(acc, self.step, w.live(), sh, None, None, self.path_hits, dead)
         return acc
 
     def run_top(self, depth_cap: int | None) -> tuple[_BoundAcc, list]:
@@ -600,7 +660,7 @@ class _BoundCampaign:
         units: list[tuple] = []
         acc.visited += 1
         self.visit_free(acc, 0)   # the edgeless hypergraph
-        w.descend(acc, self.step, 0, 0, depth_cap, units)
+        w.descend(acc, self.step, w.live(), 0, depth_cap, units, self.path_hits)
         return acc, units
 
 
@@ -868,7 +928,6 @@ class _ClaimsCampaign:
     def step(self, acc: _ClaimsAcc, j: int, ctx):
         """Visit the instance edge j just extended: a new context is checked
         in full, an inherited one at j's vertices only."""
-        acc.visited += 1
         child = self.advance(j, ctx)
         if child is not ctx:
             self._full_check(acc, child)
@@ -881,10 +940,11 @@ class _ClaimsCampaign:
             self._tiny_all_cycles(acc, child)
         return child
 
-    def run_prefix(self, prefix: tuple) -> _ClaimsAcc:
+    def run_prefix(self, unit: tuple) -> _ClaimsAcc:
+        prefix, _dead = unit   # no prune test, so nothing is dead
         ctx = self.walk.replay(prefix, self.advance, None)
         acc = _ClaimsAcc(self.n)
-        self.walk.descend(acc, self.step, prefix[-1] + 1, ctx, None, None)
+        self.walk.descend(acc, self.step, self.walk.live(), ctx, None, None)
         return acc
 
     def run_top(self, depth_cap: int | None) -> tuple[_ClaimsAcc, list]:
@@ -894,7 +954,7 @@ class _ClaimsCampaign:
         acc.visited += 1   # the edgeless hypergraph
         if self.tiny:
             self._tiny_all_cycles(acc, None)
-        self.walk.descend(acc, self.step, 0, None, depth_cap, units)
+        self.walk.descend(acc, self.step, self.walk.live(), None, depth_cap, units)
         return acc, units
 
 

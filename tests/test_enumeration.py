@@ -77,6 +77,21 @@ def test_enumeration_visitor_prune():
     assert len(visited) == 1 + 4  # empty + each single triple
 
 
+def test_enumeration_visitor_prune_skips_later_extensions_only():
+    # candidates on 3 vertices, in order: 01, 012, 02, 12.  Pruning at {02}
+    # skips {02, 12}, its one extension by a later candidate; {01, 02} and
+    # {01, 02, 12} contain it too but extend {01}, so they still come
+    seen = []
+
+    def visit(h):
+        seen.append(h.edges)
+        return h.edges != ((0, 2),)
+
+    assert enumerate_hypergraphs(3, "23", visit) == 8
+    assert seen == [(), ((0, 1),), ((0, 1), (0, 2)), ((0, 1), (0, 2), (1, 2)),
+                    ((0, 1), (1, 2)), ((0, 1, 2),), ((0, 2),), ((1, 2),)]
+
+
 def test_enumeration_cap():
     with pytest.raises(CapExceededError):
         enumerate_hypergraphs(9, "23")
@@ -391,19 +406,24 @@ def _claims_summary(acc):
             sorted(acc.violations, key=repr))
 
 
-@pytest.mark.parametrize("build,summary", [
-    (lambda: _BoundCampaign(5, 4, "23", "shadow", 2, 3 * 5, False, 8), _bound_summary),
-    (lambda: _BoundCampaign(5, 3, "23", "shadow", 2, 3 * 4, True, 8), _bound_summary),
-    (lambda: _ClaimsCampaign(5), _claims_summary),
-], ids=["theorem-shadow", "remark", "claims"])
+@pytest.mark.parametrize("build,summary,k", [
+    (lambda: _BoundCampaign(5, 4, "23", "shadow", 2, 3 * 5, False, 8), _bound_summary, 4),
+    (lambda: _BoundCampaign(5, 3, "23", "shadow", 2, 3 * 4, True, 8), _bound_summary, 3),
+    (lambda: _BoundCampaign(6, 3, "23", "shadow", 2, 3 * 5, True, 8), _bound_summary, 3),
+    (lambda: _ClaimsCampaign(5), _claims_summary, None),
+], ids=["theorem-shadow", "remark", "remark-6-3", "claims"])
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
-def test_split_walk_matches_unsplit(build, summary, depth):
+def test_split_walk_matches_unsplit(build, summary, k, depth):
     # run_top at any split depth plus every replayed unit is the whole walk
     camp = build()
     whole, none = camp.run_top(None)
     assert none == []
     acc, units = camp.run_top(depth)
-    assert units and all(len(u) == depth for u in units)
+    # a unit is (prefix, dead), dead holding the candidates pruned at or
+    # above it; the path test first runs at k - 1 edges, so dead masks
+    # cross a split at depth k or more
+    assert units and all(len(u[0]) == depth for u in units)
+    assert any(dead for _prefix, dead in units) == (k is not None and depth >= k)
     for unit in units:
         acc.merge(camp.run_prefix(unit))
     assert summary(acc) == summary(whole)

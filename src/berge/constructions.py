@@ -149,25 +149,24 @@ def two_edge_clique(n: int) -> LinearHypergraph:
 
 def build(family: str, n: int | None = None, k: int | None = None,
           copies: int | None = None) -> LinearHypergraph:
-    """Dispatch a family name plus parameters to its generator."""
-    if family == "fano":
-        return fano()
-    if family == "sts_bose":
-        return sts_bose(_require(n, "n"))
-    if family == "sts_skolem":
-        return sts_skolem(_require(n, "n"))
-    if family == "disjoint_sts":
-        return extremal_disjoint_sts(_require(k, "k"), _require(copies, "copies"))
-    if family == "star_k3":
-        return star_k3(_require(n, "n"))
-    if family == "matching_k2":
-        return matching_k2(_require(n, "n"))
-    if family == "two_edge_clique":
-        return two_edge_clique(_require(n, "n"))
-    raise ValueError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
-
-
-def _require(value: int | None, name: str) -> int:
-    if value is None:
-        raise ValueError(f"this family requires --{name}")
-    return value
+    """Dispatch a family name plus the parameters it takes to its generator;
+    a missing parameter, or one the family does not take, is a ValueError."""
+    takes = {
+        "fano": (fano, ()),
+        "sts_bose": (sts_bose, ("n",)),
+        "sts_skolem": (sts_skolem, ("n",)),
+        "disjoint_sts": (extremal_disjoint_sts, ("k", "copies")),
+        "star_k3": (star_k3, ("n",)),
+        "matching_k2": (matching_k2, ("n",)),
+        "two_edge_clique": (two_edge_clique, ("n",)),
+    }
+    if family not in takes:
+        raise ValueError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
+    generator, names = takes[family]
+    given = {"n": n, "k": k, "copies": copies}
+    for name, value in given.items():
+        if value is None and name in names:
+            raise ValueError(f"this family requires --{name}")
+        if value is not None and name not in names:
+            raise ValueError(f"family {family} does not take --{name}")
+    return generator(*(given[name] for name in names))

@@ -27,11 +27,12 @@ with the state its parent handed down, and returns the child's state or
 
 Every campaign runs through one driver (``_run_campaign``): ``run_top``
 does the work above a fixed DFS prefix depth and returns the work units
-below it (DFS prefixes with their dead masks, or single sample indices
-for random campaigns), and ``run_prefix`` runs one unit, serially or in a
-process pool, after ``_Walk.replay`` has rebuilt the walk and the step's
-state at the prefix.  With one job the walk is not split.  Partial
-results merge commutatively, so reports are identical for any job count.
+below it (DFS prefixes that still have live candidates, with their dead
+masks, or single sample indices for random campaigns), and
+``run_prefix`` runs one unit, serially or in a process pool, after
+``_Walk.replay`` has rebuilt the walk and the step's state at the prefix.
+With one job the walk is not split.  Partial results merge commutatively,
+so reports are identical for any job count.
 """
 
 from __future__ import annotations
@@ -153,13 +154,13 @@ class _Walk:
     """Mutable DFS state (pair coverage, shadow adjacency, incidences) and
     the one labeled DFS that every exhaustive walk runs on it."""
 
-    __slots__ = ("n", "cands", "pair_bits", "after", "pairs", "vmask",
+    __slots__ = ("n", "cands", "after", "pairs", "vmask",
                  "adjbits", "is3", "shcount", "cover", "adj", "incident",
                  "stack", "seeds")
 
     def __init__(self, n: int, uniformity: str):
         self.n = n
-        self.cands, self.pair_bits = _candidates(n, uniformity)
+        self.cands = _candidates(n, uniformity)[0]
         self.after = _compatible_after(n, uniformity)
         self.pairs = []   # packed pair keys, both vertex orders, for cover[]
         self.vmask = []
@@ -206,8 +207,8 @@ class _Walk:
         it in turn, in ascending order, and is counted in ``acc.visited``;
         ``step(acc, j, state)`` visits the extension and returns the child's
         state, or ``_PRUNE`` to skip the instances that extend it with later
-        candidates.  At ``depth_cap`` edges the stack and ``dead`` go to
-        ``units`` instead of being extended.
+        candidates.  A child at ``depth_cap`` edges that has live candidates
+        is not extended: its stack and ``dead`` go to ``units``.
 
         ``test``, when given, is a monotone prune: ``test(mask)`` returns
         the candidates of ``mask`` whose extension fails it, and every
@@ -217,7 +218,7 @@ class _Walk:
         any child; dead candidates are counted but neither visited nor
         tested again below.  In such a walk, a child with no live candidates
         of its own is visited with only the stack pushed (its step must read
-        nothing else there) and goes to no unit."""
+        nothing else there)."""
         acc.visited += live.bit_count()
         if test is not None:
             dead |= test(live & ~dead)
@@ -237,10 +238,10 @@ class _Walk:
                 continue
             self.add(j)
             child = step(acc, j, state)
-            if child is not _PRUNE:
+            if below and child is not _PRUNE:
                 if depth_cap is not None and len(stack) >= depth_cap:
                     units.append((tuple(stack), dead))
-                elif below:
+                else:
                     self.descend(acc, step, below, child, depth_cap, units, test, dead)
             self.remove(j)
 
@@ -270,12 +271,9 @@ class _Walk:
             # linearity: no other edge covers these pairs, so plain XOR
             self.adj[v] ^= bits
 
-    def edge_tuples(self) -> tuple[tuple[int, ...], ...]:
-        # stack indices ascend, and candidate order is lexicographic
-        return tuple(self.cands[j] for j in self.stack)
-
     def snapshot(self) -> LinearHypergraph:
-        return LinearHypergraph(n=self.n, edges=self.edge_tuples())
+        # stack indices ascend, and candidate order is lexicographic
+        return LinearHypergraph(n=self.n, edges=tuple(self.cands[j] for j in self.stack))
 
     def payload(self) -> str:
         return format_hg(self.snapshot())

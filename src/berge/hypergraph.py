@@ -233,7 +233,11 @@ def format_hg(h: LinearHypergraph) -> str:
 
 def load_hg(path) -> LinearHypergraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_hg(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_hg(text)
 
 
 def save_hg(h: LinearHypergraph, path) -> None:

@@ -51,8 +51,9 @@ far.  This bound is never looser than |R|.
 Both searches keep their DFS on an explicit stack of untried-neighbour
 masks, one per path vertex, so their depth is bounded by memory and not
 by the interpreter's recursion limit.  They run on the vertices that some
-edge touches, relabeled in ascending order (``_touched``), so a huge vertex
-count costs nothing by itself and the witnesses are those on ``h``.
+edge touches, relabeled in ascending order, and read one *view* of them
+(``_view``), whose tables all come from one pass over the edges; so a huge
+vertex count costs nothing by itself and the witnesses are those on ``h``.
 
 ``oracle_longest_path`` / ``oracle_longest_cycle`` are deliberately slow,
 structurally different cross-checks: they enumerate injective vertex
@@ -129,44 +130,31 @@ def is_valid_berge_cycle(h: LinearHypergraph, cycle: BergeCycle) -> bool:
 # bitmask view
 # ---------------------------------------------------------------------------
 
-def _touched(h: LinearHypergraph) -> tuple[LinearHypergraph, list[int] | None]:
-    """``h`` on its touched vertices, relabeled in ascending order so that
-    every edge keeps its index, plus the new-to-old vertex list; ``h`` and
-    None when every vertex is touched.  Order is preserved, so a search on
-    the relabeled copy tries vertices in the same order as on ``h``."""
-    touched = set().union(*h.edges)
-    if len(touched) == h.n:
-        return h, None
-    verts = sorted(touched)
-    new = {v: i for i, v in enumerate(verts)}
-    return LinearHypergraph(n=len(verts),
-                            edges=tuple(tuple(new[v] for v in e) for e in h.edges)), verts
-
-
 def _view(h: LinearHypergraph):
-    """(adj, cover, emask): shadow adjacency masks, the pair -> edge-index
-    table, and each edge's vertex mask."""
-    n = h.n
-    adj = [0] * n
-    cover = [-1] * (n * n)
+    """(verts, adj, cover, emask, inc) of ``h`` on its touched vertices,
+    relabeled in ascending order, from one pass over the edges: the
+    new-to-old vertex list, shadow adjacency masks, the pair -> edge-index
+    table, each edge's vertex mask and each vertex's edge-index mask.  Order
+    is preserved, so a search tries vertices in the same order as on ``h``."""
+    verts = sorted(set().union(*h.edges))
+    new = {v: i for i, v in enumerate(verts)}
+    t = len(verts)
+    adj = [0] * t
+    cover = [-1] * (t * t)
     emask = []
+    inc = [0] * t
     for idx, e in enumerate(h.edges):
-        for u, v in itertools.combinations(e, 2):
-            cover[u * n + v] = idx
-            cover[v * n + u] = idx
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        emask.append(sum(1 << v for v in e))
-    return adj, cover, emask
-
-
-def _incidence(h: LinearHypergraph) -> list[int]:
-    """Per-vertex bitmask of the indices of the hyperedges containing it."""
-    inc = [0] * h.n
-    for idx, e in enumerate(h.edges):
+        e = [new[v] for v in e]
+        msk = 0
         for v in e:
+            msk |= 1 << v
             inc[v] |= 1 << idx
-    return inc
+        for v in e:
+            adj[v] |= msk ^ (1 << v)
+        for u, v in itertools.combinations(e, 2):
+            cover[u * t + v] = cover[v * t + u] = idx
+        emask.append(msk)
+    return verts, adj, cover, emask, inc
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +193,8 @@ def _path_search(h: LinearHypergraph, floor: int, ub: int) -> BergePath | None:
     cannot beat the current best, so the witness is that of the unpruned
     search.
     """
-    g, verts = _touched(h)
-    n = g.n
-    adj, cover, emask = _view(g)
-    inc = _incidence(g)
+    verts, adj, cover, emask, inc = _view(h)
+    n = len(verts)
     best_len = floor
     best = None
     for s in range(n):
@@ -282,9 +268,8 @@ def _path_search(h: LinearHypergraph, floor: int, ub: int) -> BergePath | None:
     if best is None:
         return None
     vs, cs = best
-    if verts is not None:
-        vs = tuple(verts[v] for v in vs)
-    return BergePath(vertices=vs, hyperedges=tuple(h.edges[c] for c in cs))
+    return BergePath(vertices=tuple(verts[v] for v in vs),
+                     hyperedges=tuple(h.edges[c] for c in cs))
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +283,7 @@ def longest_berge_cycle(h: LinearHypergraph) -> BergeCycle | None:
     strict improvements only, so the witness is deterministic.
     """
     found = _cycle_search(h, collect_all=False)
-    if not found:
-        return None
-    vs, cs = found[0]
-    return BergeCycle(vertices=vs, hyperedges=tuple(h.edges[c] for c in cs))
+    return found[0] if found else None
 
 
 def all_longest_berge_cycles(h: LinearHypergraph) -> list[BergeCycle]:
@@ -312,51 +294,40 @@ def all_longest_berge_cycles(h: LinearHypergraph) -> list[BergeCycle]:
     small instances (exhaustive structural checking); cost grows with the
     number of maximum cycles.
     """
-    found = _cycle_search(h, collect_all=True)
-    return [
-        BergeCycle(vertices=vs, hyperedges=tuple(h.edges[c] for c in cs))
-        for vs, cs in found
-    ]
+    return _cycle_search(h, collect_all=True)
 
 
-def _cycle_core(h: LinearHypergraph) -> tuple[int, int]:
-    """(vertex mask, edge count) of the cycle core of ``h`` (see the module
-    docstring), peeled in O(m) over the vertices that some edge touches."""
-    incident: dict[int, list[int]] = {}
-    for idx, e in enumerate(h.edges):
-        for v in e:
-            incident.setdefault(v, []).append(idx)
-    deg = {v: len(es) for v, es in incident.items()}
-    size = [len(e) for e in h.edges]
-    alive = set(incident)
-    edges_left = h.m
-    todo = [v for v, d in deg.items() if d <= 1]
+def _cycle_core(inc: list[int], emask: list[int]) -> tuple[int, int]:
+    """(vertex mask, edge count) of the cycle core (see the module
+    docstring), peeled on a view's masks: an edge dies when one of its
+    vertices is left, and a vertex is queued, once, when at most one live
+    edge holds it, so a few mask operations peel it."""
+    alive = (1 << len(inc)) - 1
+    live = (1 << len(emask)) - 1
+    todo = [v for v, d in enumerate(inc) if not d & (d - 1)]
     while todo:
         v = todo.pop()
-        alive.discard(v)
-        for idx in incident[v]:
-            size[idx] -= 1
-            if size[idx] != 1:
-                continue
-            edges_left -= 1
-            for u in h.edges[idx]:
-                if u in alive and u != v:
-                    deg[u] -= 1
-                    if deg[u] == 1:
-                        todo.append(u)
-    return sum(1 << v for v in alive), edges_left
+        alive ^= 1 << v
+        e = inc[v] & live
+        rest = emask[e.bit_length() - 1] & alive if e else 0
+        if rest and not rest & (rest - 1):
+            live ^= e
+            u = rest.bit_length() - 1
+            d = inc[u] & live
+            if d and not d & (d - 1):
+                todo.append(u)
+    return alive, live.bit_count()
 
 
-def _cycle_search(h: LinearHypergraph, collect_all: bool):
+def _cycle_search(h: LinearHypergraph, collect_all: bool) -> list[BergeCycle]:
     """The unanchored seeds, on the cycle core: each cycle is found from
     its minimum vertex s to a larger neighbour b, with every vertex below s
     blocked."""
-    g, verts = _touched(h)
-    n = g.n
-    core, core_m = _cycle_core(g)
+    verts, adj, cover, emask, inc = _view(h)
+    n = len(verts)
+    core, core_m = _cycle_core(inc, emask)
     if core_m < 3:
         return []
-    adj, cover, emask = _view(g)
     adj = [a & core if (core >> v) & 1 else 0 for v, a in enumerate(adj)]
     seeds = []
     rest = core
@@ -372,9 +343,8 @@ def _cycle_search(h: LinearHypergraph, collect_all: bool):
             seeds.append((s, b, cover[s * n + b], blocked | low))
     hits = _cycle_kernel(adj, cover, emask, n, seeds, 2,
                          min(core.bit_count(), core_m), collect_all)
-    if verts is None:
-        return hits
-    return [(tuple(verts[v] for v in vs), cs) for vs, cs in hits]
+    return [BergeCycle(vertices=tuple(verts[v] for v in vs),
+                       hyperedges=tuple(h.edges[c] for c in cs)) for vs, cs in hits]
 
 
 def _cycle_kernel(adj: list[int], cover: list[int], emask: list[int], n: int,

@@ -293,10 +293,6 @@ def check_laws(h: LinearHypergraph, ctx: CycleContext) -> tuple[list[Violation],
     return [v for v in found if v is not None], h.n - ctx.length, len(triples), len(pairs)
 
 
-def off_cycle_vertices(h: LinearHypergraph, ctx: CycleContext) -> list[int]:
-    return [v for v in range(h.n) if not ctx.on_cycle(v)]
-
-
 def off_cycle_triples(h: LinearHypergraph, ctx: CycleContext) -> list[Edge]:
     """Size-3 hyperedges with no vertex on the cycle."""
     return [e for e in h.edges

@@ -48,6 +48,10 @@ def test_construct_to_file(tmp_path, capsys):
 def test_construct_bad_params(capsys):
     assert main(["construct", "sts_bose", "--n", "8"]) == 2
     assert main(["construct", "star_k3"]) == 2
+    # a parameter the family ignores is refused, not dropped
+    assert main(["construct", "fano", "--n", "5"]) == 2
+    assert main(["construct", "star_k3", "--n", "7", "--copies", "2"]) == 2
+    assert capsys.readouterr().err.count("error [usage]: family") == 2
 
 
 def test_shadow_verb(tmp_path, capsys):
@@ -225,6 +229,13 @@ def test_vacuous_arguments_exit_2(argv, capsys):
 def test_non_file_input_exits_2(tmp_path, capsys):
     assert main(["stats", str(tmp_path)]) == 2
     assert "error [io]" in capsys.readouterr().err
+
+
+def test_non_utf8_input_is_format_error(tmp_path, capsys):
+    f = tmp_path / "bom16.hg"
+    f.write_bytes(b"\xff\xfe")
+    assert main(["stats", str(f)]) == 2
+    assert "error [format]: " in capsys.readouterr().err
 
 
 def test_stats_degrees(tmp_path, capsys):

@@ -122,3 +122,5 @@ def test_build_dispatch():
         build("nope")
     with pytest.raises(ValueError):
         build("star_k3")  # missing n
+    with pytest.raises(ValueError):
+        build("fano", n=5)  # fano takes no n

@@ -303,7 +303,7 @@ def _sharing_pair_instances():
     for n in (8, 9, 10):
         ell = n - 5
         camp = _ClaimsCampaign(n)
-        cands, bits = camp.walk.cands, camp.walk.pair_bits
+        cands, bits = enumeration._candidates(n, "23")
         base = [tuple(sorted((i, (i + 1) % ell))) for i in range(ell)]
         base += [(ell, ell + 1, ell + 2), (ell, ell + 3, ell + 4)]
         for i in range(200):
@@ -385,9 +385,9 @@ def test_campaign_workers_capped_by_units(monkeypatch):
 
     monkeypatch.setattr(enumeration, "Pool", SerialPool)
     monkeypatch.setattr(enumeration, "_WORKER", {})
-    for n, jobs, want in ((3, 8, []), (4, 64, [32]), (4, 2, [2])):
+    for n, jobs, want in ((3, 8, []), (4, 64, [13]), (4, 2, [2])):
         sizes.clear()
-        d = verify_claims(n, jobs=jobs).as_dict()   # n = 3: one unit, n = 4: 32
+        d = verify_claims(n, jobs=jobs).as_dict()   # n = 3: no unit, n = 4: 13
         assert sizes == want
         serial = verify_claims(n, jobs=1).as_dict()
         d.pop("runtime_seconds")
@@ -425,5 +425,7 @@ def test_split_walk_matches_unsplit(build, summary, k, depth):
     assert units and all(len(u[0]) == depth for u in units)
     assert any(dead for _prefix, dead in units) == (k is not None and depth >= k)
     for unit in units:
+        camp.walk.replay(unit[0], lambda j, state: state, None)
+        assert camp.walk.live(), unit   # a unit always has something below it
         acc.merge(camp.run_prefix(unit))
     assert summary(acc) == summary(whole)

@@ -20,7 +20,7 @@ from berge import (
     validate,
 )
 from berge.enumeration import enumerate_hypergraphs, random_linear
-from berge.solver import _cycle_core
+from berge.solver import _cycle_core, _view
 
 
 def test_path_validity_basics(one_triple):
@@ -356,8 +356,9 @@ def _check_cycle_contract(h):
     want = sorted(c for c in longest if c[0][1] < c[0][-1])
     assert [(c.vertices, c.hyperedges) for c in every] == want, h
     core, core_m = _peeled_core(h)
-    mask = sum(1 << v for v in core)
-    assert _cycle_core(h) == (mask, core_m), h
+    verts, _adj, _cover, emask, inc = _view(h)
+    mask, m = _cycle_core(inc, emask)
+    assert ({verts[v] for v in range(len(verts)) if mask >> v & 1}, m) == (core, core_m), h
     assert all(set(vs) <= core for vs, _ in longest), h
 
 

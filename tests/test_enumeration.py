@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from berge import CapExceededError, enumeration, format_hg, shadow, validate
+from berge import CapExceededError, enumeration, format_hg, shadow, structure, validate
 from berge.constructions import matching_k2, star_k3, sts_bose
 from berge.enumeration import (
     _BoundCampaign,
@@ -19,7 +19,7 @@ from berge.enumeration import (
     verify_theorem_shadow,
     verify_theorem_uniform,
 )
-from berge.solver import has_berge_path, oracle_longest_cycle
+from berge.solver import BergeCycle, has_berge_path, oracle_longest_cycle
 
 
 def _brute_force_count(n, mixed):
@@ -225,6 +225,20 @@ def test_bound_prune_against_brute_force(n, uniformity, k):
             assert r.max_hyperedges == max_edges
 
 
+@pytest.mark.parametrize("k,classes", [(4, 2), (5, 3), (6, 6)])
+def test_shadow_equality_case_is_3_uniform(k, classes):
+    # on n = k vertices every instance is path-free, the maximum shadow is
+    # C(k, 2), and it is reached exactly by the linear 3-uniform instances
+    # with 2-edges on every uncovered pair
+    acc, _units = _BoundCampaign(k, k, "23", "shadow", 2, (k - 1) * k, True, 8).run_top(None)
+    assert acc.best_value == k * (k - 1) // 2
+    uniform = []
+    assert len(acc.ties) == enumerate_hypergraphs(k, "3", uniform.append)
+    cands = enumeration._candidates(k, "23")[0]
+    tie_forms = {canonical_form(validate(k, [cands[j] for j in s])) for s in acc.ties}
+    assert len(tie_forms) == len({canonical_form(h) for h in uniform}) == classes
+
+
 def test_theorem_campaigns_reject_small_k():
     with pytest.raises(ValueError):
         verify_theorem_uniform(5, 3)
@@ -337,6 +351,41 @@ def test_claims_sharing_pairs_pinned():
     assert paired >= 500
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digest == "850cb881ea26523a4428c92638d9fc8a44f16ce194b5ac669a72f0d9b77c83a5"
+
+
+def _assert_s_l_matches_object_level(camp, ctx):
+    # the mask-level S(u), L(u) at every touched off-cycle vertex against
+    # the object-level reference on the same cycle
+    h = camp.walk.snapshot()
+    cyc = ctx[1]
+    cover = {frozenset(p): e for e in h.edges for p in itertools.combinations(e, 2)}
+    edges = tuple(cover[frozenset((v, cyc[(i + 1) % len(cyc)]))] for i, v in enumerate(cyc))
+    cctx = structure.CycleContext.from_cycle(h, BergeCycle(vertices=cyc, hyperedges=edges))
+    touched = {v for e in h.edges for v in e} - set(cyc)
+    for u in sorted(touched):
+        assert camp._s_l(ctx, u) == structure._peripheral_masks(h, cctx, u), (h, cyc, u)
+
+
+def test_claims_s_l_matches_object_level():
+    checked = 0
+    for camp, prefix in _sharing_pair_instances():
+        ctx = camp.walk.replay(prefix, camp.advance, None)
+        _assert_s_l_matches_object_level(camp, ctx)
+        checked += 1
+    assert checked == 600
+    cyclic = 0
+    for n in range(3, enumeration.TINY_ALL_CYCLES + 1):
+        camp = _ClaimsCampaign(n)
+        cands = enumeration._candidates(n, "23")[0]
+        instances = []
+        enumerate_hypergraphs(n, "23", instances.append)
+        for h in instances:
+            ctx = camp.walk.replay(tuple(cands.index(e) for e in h.edges),
+                                   camp.advance, None)
+            if ctx is not None:
+                _assert_s_l_matches_object_level(camp, ctx)
+                cyclic += 1
+    assert cyclic == 1 + 42 + 2008   # the cyclic instances at n = 3, 4, 5
 
 
 def test_claims_random_small():

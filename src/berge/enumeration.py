@@ -32,7 +32,9 @@ masks, or single sample indices for random campaigns), and
 ``run_prefix`` runs one unit, serially or in a process pool, after
 ``_Walk.replay`` has rebuilt the walk and the step's state at the prefix.
 With one job the walk is not split.  Partial results merge commutatively,
-so reports are identical for any job count.
+so reports are identical for any job count.  The walk's pair -> edge table
+is read only at pairs its shadow adjacency shows as covered, so removing
+an edge clears its adjacency bits alone.
 """
 
 from __future__ import annotations
@@ -151,11 +153,13 @@ _PRUNE = object()   # a step's verdict: do not extend this instance
 
 
 class _Walk:
-    """Mutable DFS state (pair coverage, shadow adjacency, incidences) and
-    the one labeled DFS that every exhaustive walk runs on it."""
+    """Mutable DFS state (edge stack, shadow adjacency, pair coverage) and
+    the one labeled DFS that every exhaustive walk runs on it.  ``cover`` is
+    stale off the pairs ``adj`` shows as covered, each in one edge by
+    linearity; the edges through u are those of the stack that hold u."""
 
     __slots__ = ("n", "cands", "after", "pairs", "vmask",
-                 "adjbits", "is3", "shcount", "cover", "adj", "incident",
+                 "adjbits", "is3", "shcount", "cover", "adj",
                  "stack", "seeds")
 
     def __init__(self, n: int, uniformity: str):
@@ -183,13 +187,11 @@ class _Walk:
             self.shcount.append(len(ps) // 2)
             self.seeds.append(tuple((a, b, j, (1 << a) | (1 << b))
                                     for a, b in itertools.combinations(e, 2)))
+        self.cover = [-1] * (n * n)
         self.reset()
 
     def reset(self):
-        n = self.n
-        self.cover = [-1] * (n * n)
-        self.adj = [0] * n
-        self.incident = [[] for _ in range(n)]
+        self.adj = [0] * self.n
         self.stack = []
 
     def live(self) -> int:
@@ -258,16 +260,12 @@ class _Walk:
         for p in self.pairs[j]:
             self.cover[p] = j
         for v, bits in self.adjbits[j]:
-            self.incident[v].append(j)
             self.adj[v] |= bits
         self.stack.append(j)
 
     def remove(self, j: int):
         self.stack.pop()
-        for p in self.pairs[j]:
-            self.cover[p] = -1
         for v, bits in self.adjbits[j]:
-            self.incident[v].pop()
             # linearity: no other edge covers these pairs, so plain XOR
             self.adj[v] ^= bits
 
@@ -798,36 +796,34 @@ class _ClaimsCampaign:
         self.walk = _Walk(n, "23")
         self.tiny = n <= TINY_ALL_CYCLES
 
-    # ctx: (ell, cyc, defmask, lmask, pos, cmask); lmask[u] is L(u), the
-    # cycle positions i whose defining edge is {cyc[i], cyc[i+1], u}
+    # ctx: (ell, cyc, lmask, pos, cmask); lmask[u] is L(u), the cycle
+    # positions i whose defining edge is {cyc[i], cyc[i+1], u}
     def make_ctx(self, cyc, covs):
         w = self.walk
         ell = len(cyc)
         pos = [-1] * self.n
         lmask = [0] * self.n
-        cmask = defmask = 0
+        cmask = 0
         for i, (v, ci) in enumerate(zip(cyc, covs)):
             pos[v] = i
             cmask |= 1 << v
-            defmask |= 1 << ci
             ev = w.cands[ci]
             if len(ev) == 3:
                 lmask[ev[0] + ev[1] + ev[2] - v - cyc[(i + 1) % ell]] |= 1 << i
-        return (ell, cyc, defmask, lmask, pos, cmask)
+        return (ell, cyc, lmask, pos, cmask)
 
     def _s_l(self, ctx, u: int) -> tuple[int, int]:
-        _ell, _cyc, defmask, lmask, pos, _cm = ctx
-        w = self.walk
+        """S(u), L(u) as position masks: S(u) is u's cycle neighbours less
+        L(u) and L(u) + 1, as u meets v_i, v_{i+1} in h_i iff i is in L(u)."""
+        ell, _cyc, lmask, pos, cmask = ctx
+        l_mask = lmask[u]
         s_mask = 0
-        for ei in w.incident[u]:
-            if (defmask >> ei) & 1:
-                continue
-            for x in w.cands[ei]:
-                if x != u:
-                    p = pos[x]
-                    if p >= 0:
-                        s_mask |= 1 << p
-        return s_mask, lmask[u]
+        x = self.walk.adj[u] & cmask
+        while x:
+            low = x & -x
+            s_mask |= 1 << pos[low.bit_length() - 1]
+            x ^= low
+        return s_mask & ~(l_mask | l_mask << 1 | l_mask >> (ell - 1)), l_mask
 
     def _record(self, acc: _ClaimsAcc, cycle, kind: str, us, detail: str):
         acc.violations.append({
@@ -850,7 +846,7 @@ class _ClaimsCampaign:
 
     def _check_triple(self, acc: _ClaimsAcc, ctx, ei: int):
         w = self.walk
-        cmask = ctx[5]
+        cmask = ctx[4]
         ell = ctx[0]
         ev = w.cands[ei]
         sl = [self._check_vertex(acc, ctx, u) for u in ev]
@@ -864,8 +860,9 @@ class _ClaimsCampaign:
         for u in ev:
             # by linearity an off-cycle triple fj through u meets ev in u alone
             left = [(v, s) for v, s in zip(ev, sl) if v != u]
-            for fj in w.incident[u]:
-                if fj == ei or not w.is3[fj] or w.vmask[fj] & cmask:
+            for fj in w.stack:
+                fm = w.vmask[fj]
+                if fj == ei or not (fm >> u) & 1 or not w.is3[fj] or fm & cmask:
                     continue
                 right = [(v, self._s_l(ctx, v)) for v in w.cands[fj] if v != u]
                 for xs, ys in ((left, right), (right, left)):
@@ -880,7 +877,7 @@ class _ClaimsCampaign:
         """Check each off-cycle vertex of the vertex mask ``rest`` and, once
         each, the off-cycle triples at them."""
         w = self.walk
-        cmask = ctx[5]
+        cmask = ctx[4]
         rest &= ~cmask
         done = 0
         while rest:
@@ -888,8 +885,9 @@ class _ClaimsCampaign:
             u = low.bit_length() - 1
             rest ^= low
             self._check_vertex(acc, ctx, u)
-            for ei in w.incident[u]:
-                if w.is3[ei] and not (w.vmask[ei] & cmask) and not ((done >> ei) & 1):
+            for ei in w.stack:
+                em = w.vmask[ei]
+                if em & low and w.is3[ei] and not em & cmask and not (done >> ei) & 1:
                     done |= 1 << ei
                     self._check_triple(acc, ctx, ei)
 

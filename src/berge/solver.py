@@ -54,6 +54,8 @@ by the interpreter's recursion limit.  They run on the vertices that some
 edge touches, relabeled in ascending order, and read one *view* of them
 (``_view``), whose tables all come from one pass over the edges; so a huge
 vertex count costs nothing by itself and the witnesses are those on ``h``.
+A search reads the pair -> edge table only at pairs that the adjacency
+shows as covered, so the view holds those alone, in O(t + m) space.
 
 ``oracle_longest_path`` / ``oracle_longest_cycle`` are deliberately slow,
 structurally different cross-checks: they enumerate injective vertex
@@ -95,27 +97,20 @@ class BergeCycle:
 def is_valid_berge_path(h: LinearHypergraph, path: BergePath) -> bool:
     """Definition check: distinct vertices, distinct hyperedges of ``h``,
     and {v_i, v_{i+1}} ⊆ h_i throughout."""
-    vs, es = path.vertices, path.hyperedges
-    if len(vs) != len(es) + 1 or not vs:
-        return False
-    if len(set(vs)) != len(vs) or len(set(es)) != len(es):
-        return False
-    if any(not 0 <= v < h.n for v in vs):
-        return False
-    edge_set = set(h.edges)
-    for i, e in enumerate(es):
-        if e not in edge_set or vs[i] not in e or vs[i + 1] not in e:
-            return False
-    return True
+    return _is_valid(h, path.vertices, path.hyperedges, closed=False)
 
 
 def is_valid_berge_cycle(h: LinearHypergraph, cycle: BergeCycle) -> bool:
     """Definition check for cycles; length >= 3 (forced anyway for linear h)."""
-    vs, es = cycle.vertices, cycle.hyperedges
+    return _is_valid(h, cycle.vertices, cycle.hyperedges, closed=True)
+
+
+def _is_valid(h: LinearHypergraph, vs, es, closed: bool) -> bool:
+    """The definition check; a cycle's last edge holds v_l and v_1."""
     ell = len(vs)
-    if ell != len(es) or ell < 3:
+    if ell != len(es) + (not closed) or ell < (3 if closed else 1):
         return False
-    if len(set(vs)) != ell or len(set(es)) != ell:
+    if len(set(vs)) != ell or len(set(es)) != len(es):
         return False
     if any(not 0 <= v < h.n for v in vs):
         return False
@@ -133,14 +128,15 @@ def is_valid_berge_cycle(h: LinearHypergraph, cycle: BergeCycle) -> bool:
 def _view(h: LinearHypergraph):
     """(verts, adj, cover, emask, inc) of ``h`` on its touched vertices,
     relabeled in ascending order, from one pass over the edges: the
-    new-to-old vertex list, shadow adjacency masks, the pair -> edge-index
-    table, each edge's vertex mask and each vertex's edge-index mask.  Order
-    is preserved, so a search tries vertices in the same order as on ``h``."""
+    new-to-old vertex list, shadow adjacency masks, the covered pairs'
+    edge indices (keyed u * t + v), each edge's vertex mask and each
+    vertex's edge-index mask.  Order is preserved, so a search tries
+    vertices in the same order as on ``h``."""
     verts = sorted(set().union(*h.edges))
     new = {v: i for i, v in enumerate(verts)}
     t = len(verts)
     adj = [0] * t
-    cover = [-1] * (t * t)
+    cover = {}
     emask = []
     inc = [0] * t
     for idx, e in enumerate(h.edges):
@@ -347,11 +343,12 @@ def _cycle_search(h: LinearHypergraph, collect_all: bool) -> list[BergeCycle]:
                        hyperedges=tuple(h.edges[c] for c in cs)) for vs, cs in hits]
 
 
-def _cycle_kernel(adj: list[int], cover: list[int], emask: list[int], n: int,
+def _cycle_kernel(adj: list[int], cover, emask: list[int], n: int,
                   seeds, best_len: int, ub: int, collect_all: bool = False):
     """Longest Berge cycles closing one of ``seeds``, as sorted
     (vertex tuple, cover-index tuple) pairs; ``emask`` maps a cover index
-    to its edge's vertex mask.
+    to its edge's vertex mask.  ``cover[u * n + v]`` is read only where
+    ``adj`` shows the pair covered.
 
     A seed (a, b, c0, vis) is the path a→b over cover index c0; it closes
     back at a through an edge other than c0 and the last edge used, and
@@ -372,9 +369,9 @@ def _cycle_kernel(adj: list[int], cover: list[int], emask: list[int], n: int,
         while True:
             w, cprev = path[-1], covs[-1]
             lp = len(path)
-            if lp >= 3:
+            if lp >= 3 and adj_a >> w & 1:
                 cc = cover[w * n + a]
-                if cc >= 0 and cc != cprev and cc != c0:
+                if cc != cprev and cc != c0:
                     if lp > best_len:
                         best_len = lp
                         hits = []

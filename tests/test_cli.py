@@ -329,6 +329,11 @@ def test_cycle_verbs_huge_vertex_count(tmp_path, argv, key):
     if key == "cycle_length":
         assert r["checked_vertices"] == HUGE_N - 3
         assert r["violations"] == []
+    # a loose path with 20,001 touched vertices: the solver's tables are
+    # linear in the touched vertices and the edges, so it is answered at once
+    f.write_text("20001 10000\n" + "".join(f"{2 * i} {2 * i + 1} {2 * i + 2}\n"
+                                           for i in range(10_000)))
+    assert _run_capped(argv + [str(f)])[key] is None
 
 
 @pytest.mark.parametrize("n", [100_000, HUGE_N])

@@ -225,6 +225,25 @@ def test_bound_prune_against_brute_force(n, uniformity, k):
             assert r.max_hyperedges == max_edges
 
 
+@pytest.mark.parametrize("args,count,value,bound,instance", [
+    ((5, 4, "3", "edges", 6, 6), 15, 2, "1", "5 2\n0 1 2\n0 3 4\n"),
+    ((6, 5, "3", "edges", 6, 13), 150, 3, "13/6", "6 3\n0 1 2\n0 3 4\n1 3 5\n"),
+    ((5, 4, "23", "shadow", 2, 9), 480, 6, "9/2", "5 2\n0 1 2\n0 3 4\n"),
+    ((4, 2, "23", "shadow", 1, 0), 13, 1, "0", "4 1\n0 1\n"),
+])
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("collect_classes", [False, True])
+def test_bound_exceeded_records(args, count, value, bound, instance, jobs,
+                                collect_classes):
+    # bounds tighter than the true maxima: every path-free instance above
+    # them is a violation, reported with its value and the bound rhs/lhs
+    r = _verify_bound("tight", *args, jobs, 3, collect_classes=collect_classes)
+    assert r.holds is False
+    assert len(r.violations) == count
+    assert r.violations[0] == {"kind": "bound-exceeded", "value": value,
+                               "bound": bound, "instance": instance}
+
+
 @pytest.mark.parametrize("k,classes", [(4, 2), (5, 3), (6, 6)])
 def test_shadow_equality_case_is_3_uniform(k, classes):
     # on n = k vertices every instance is path-free, the maximum shadow is

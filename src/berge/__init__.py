@@ -30,7 +30,6 @@ from .hypergraph import (
     load_hg,
     parse_hg,
     restrict,
-    save_hg,
     shadow,
     shadow_degree,
     validate,
@@ -81,7 +80,6 @@ __all__ = [
     "oracle_longest_path",
     "parse_hg",
     "restrict",
-    "save_hg",
     "shadow",
     "shadow_degree",
     "validate",

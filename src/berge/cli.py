@@ -23,7 +23,6 @@ import time
 
 from . import constructions
 from .enumeration import (
-    DEFAULT_SEED,
     verify_claims,
     verify_remark,
     verify_theorem_shadow,
@@ -137,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = act.add_parser("claims", parents=[out])
     q.add_argument("--n", type=_POSITIVE, required=True)
     q.add_argument("--samples", type=_POSITIVE, default=None)
-    q.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    q.add_argument("--seed", type=int, default=None)
     q.add_argument("--jobs", type=_POSITIVE, default=None)
 
     return top

@@ -529,55 +529,54 @@ def _run_campaign(spec, jobs: int | None):
 class _BoundAcc:
     """Mergeable accumulator for one bound campaign slice.
 
-    ``witnesses`` holds the lexicographically least edge-index stacks at the
-    running maximum (capped); ``ties`` holds *all* stacks at the maximum when
-    the campaign identifies extremal classes (canonicalized only at report
-    time, since running maxima are discarded on every improvement).
+    ``max_shadow`` is the largest shadow size of a path-free instance seen
+    (-1 before the first, so an empty partial never wins a merge); on a
+    3-uniform walk it is three times the largest edge count.  ``best``
+    holds the edge-index stacks at that maximum in lexicographic order, at
+    most ``cap`` of them, or all of them when ``cap`` is None (the
+    campaign identifies extremal classes, canonicalized only at report
+    time since running maxima are discarded on every improvement).
     """
 
-    __slots__ = ("visited", "free", "max_edges", "max_shadow", "best_value",
-                 "witnesses", "ties", "violations", "limit")
+    __slots__ = ("visited", "free", "max_shadow", "best", "cap", "violations")
 
-    def __init__(self, limit: int = 8, track_ties: bool = False):
+    def __init__(self, cap: int | None):
         self.visited = 0
         self.free = 0
-        self.max_edges = 0
-        self.max_shadow = 0
-        self.best_value = -1
-        self.limit = limit
-        self.witnesses: list[tuple] = []
-        self.ties: list[tuple] | None = [] if track_ties else None
+        self.max_shadow = -1
+        self.best: list[tuple] = []
+        self.cap = cap
         self.violations: list[dict] = []
 
     def merge(self, other: "_BoundAcc"):
         self.visited += other.visited
         self.free += other.free
-        self.max_edges = max(self.max_edges, other.max_edges)
-        self.max_shadow = max(self.max_shadow, other.max_shadow)
-        if other.best_value > self.best_value:
-            self.best_value = other.best_value
-            self.witnesses = list(other.witnesses)
-            self.ties = other.ties
-        elif other.best_value == self.best_value:
-            self.witnesses = sorted(self.witnesses + other.witnesses)[: self.limit]
-            if self.ties is not None and other.ties is not None:
-                self.ties.extend(other.ties)
+        if other.max_shadow > self.max_shadow:
+            self.max_shadow = other.max_shadow
+            self.best = other.best
+        elif other.max_shadow == self.max_shadow:
+            self.best = sorted(self.best + other.best)[: self.cap]
         self.violations.extend(other.violations)
 
 
 class _BoundCampaign:
-    """Max e(H) / e(∂H) over hypergraphs with no Berge path of length k."""
+    """Max e(H) / e(∂H) over hypergraphs with no Berge path of length k.
+
+    Both metrics are read off the shadow size.  The ``"edges"`` metric runs
+    on linear 3-uniform walks, where every edge adds three shadow pairs
+    (``unit`` = 3; 1 for ``"shadow"``), so lhs * value > rhs iff the shadow
+    size exceeds ``max_ok`` = floor(unit * rhs / lhs), and a violation's
+    value is the shadow size // ``unit``.
+    """
 
     def __init__(self, n: int, k: int, uniformity: str, metric: str,
                  bound_lhs: int, bound_rhs: int, collect_classes: bool,
                  witness_limit: int):
-        self.n = n
         self.k = k
-        self.metric = metric              # "edges" or "shadow"
-        self.bound_lhs = bound_lhs        # violation iff lhs*value > rhs
-        self.bound_rhs = bound_rhs
-        self.collect_classes = collect_classes
-        self.witness_limit = witness_limit
+        self.unit = 3 if metric == "edges" else 1
+        self.max_ok = bound_rhs * self.unit // bound_lhs
+        self.bound = str(Fraction(bound_rhs, bound_lhs))
+        self.cap = None if collect_classes else witness_limit
         self.walk = _Walk(n, uniformity)
 
     def path_hits(self, cands: int) -> int:
@@ -610,32 +609,21 @@ class _BoundCampaign:
     def visit_free(self, acc: _BoundAcc, sh: int):
         """Record a path-free instance whose shadow has ``sh`` edges."""
         acc.free += 1
-        m_edges = len(self.walk.stack)
-        if m_edges > acc.max_edges:
-            acc.max_edges = m_edges
         if sh > acc.max_shadow:
             acc.max_shadow = sh
-        value = m_edges if self.metric == "edges" else sh
-        if value > acc.best_value:
-            acc.best_value = value
-            acc.witnesses = [tuple(self.walk.stack)]
-            if acc.ties is not None:
-                acc.ties = [tuple(self.walk.stack)]
-        elif value == acc.best_value:
-            if len(acc.witnesses) < self.witness_limit:
-                acc.witnesses.append(tuple(self.walk.stack))
-            if acc.ties is not None:
-                acc.ties.append(tuple(self.walk.stack))
-        if self.bound_lhs * value > self.bound_rhs:
+            acc.best = [tuple(self.walk.stack)]
+        elif sh == acc.max_shadow and (acc.cap is None or len(acc.best) < acc.cap):
+            acc.best.append(tuple(self.walk.stack))
+        if sh > self.max_ok:
             acc.violations.append({
                 "kind": "bound-exceeded",
-                "value": value,
-                "bound": str(Fraction(self.bound_rhs, self.bound_lhs)),
+                "value": sh // self.unit,
+                "bound": self.bound,
                 "instance": self.walk.payload(),
             })
 
     def new_acc(self) -> _BoundAcc:
-        return _BoundAcc(limit=self.witness_limit, track_ties=self.collect_classes)
+        return _BoundAcc(self.cap)
 
     # -- drivers --
     def run_prefix(self, unit: tuple) -> _BoundAcc:
@@ -674,7 +662,7 @@ def _verify_bound(campaign: str, n: int, k: int, uniformity: str, metric: str,
     spec = (_BoundCampaign,
             (n, k, uniformity, metric, lhs, rhs, collect_classes, witness_limit))
     camp, acc = _run_campaign(spec, jobs)
-    witnesses = sorted(acc.witnesses)[:witness_limit]
+    witnesses = sorted(acc.best)[:witness_limit]
 
     def instance_of(stack: tuple) -> LinearHypergraph:
         return LinearHypergraph(n=n, edges=tuple(camp.walk.cands[j] for j in stack))
@@ -684,15 +672,15 @@ def _verify_bound(campaign: str, n: int, k: int, uniformity: str, metric: str,
                 "mode": "exhaustive"},
         instances_checked=acc.visited,
         bp_free_count=acc.free,
-        max_hyperedges=acc.max_edges if uniformity == "3" else None,
+        max_hyperedges=acc.max_shadow // 3 if uniformity == "3" else None,
         max_shadow_edges=acc.max_shadow,
-        bound_value=str(Fraction(rhs, lhs)),
+        bound_value=camp.bound,
         extremal_witnesses=[format_hg(instance_of(s)) for s in witnesses],
         violations=sorted(acc.violations, key=lambda v: v["instance"]),
         runtime_seconds=round(time.perf_counter() - started, 6),
     )
-    if acc.ties is not None:
-        classes = {canonical_form(instance_of(s)) for s in acc.ties}
+    if collect_classes:
+        classes = {canonical_form(instance_of(s)) for s in acc.best}
         report.extremal_class_count = len(classes)
         if family is not None:
             report.extremal_matches_family = classes == {canonical_form(family(n))}
@@ -748,12 +736,10 @@ def verify_remark(n: int, k: int, jobs: int | None = None,
 # ---------------------------------------------------------------------------
 
 class _ClaimsAcc:
-    __slots__ = ("visited", "cyclic", "hist", "vertices", "triples", "pairs",
-                 "violations")
+    __slots__ = ("visited", "hist", "vertices", "triples", "pairs", "violations")
 
     def __init__(self, n: int):
         self.visited = 0
-        self.cyclic = 0
         self.hist = [0] * (n + 1)   # by cycle length
         self.vertices = 0
         self.triples = 0
@@ -762,7 +748,6 @@ class _ClaimsAcc:
 
     def merge(self, other: "_ClaimsAcc"):
         self.visited += other.visited
-        self.cyclic += other.cyclic
         for i, c in enumerate(other.hist):
             self.hist[i] += c
         self.vertices += other.vertices
@@ -930,7 +915,6 @@ class _ClaimsCampaign:
         elif ctx is not None:
             self._delta_check(acc, ctx, j)
         if child is not None:
-            acc.cyclic += 1
             acc.hist[child[0]] += 1
         if self.tiny:
             self._tiny_all_cycles(acc, child)
@@ -983,7 +967,6 @@ class _RandomClaimsCampaign:
         cyc = longest_berge_cycle(h)
         if cyc is None:
             return acc
-        acc.cyclic += 1
         acc.hist[cyc.length] += 1
         for v in acc.object_laws(h, cyc):
             acc.violations.append({
@@ -997,21 +980,26 @@ class _RandomClaimsCampaign:
         return acc
 
 
-def verify_claims(n: int, samples: int | None = None, seed: int = DEFAULT_SEED,
+def verify_claims(n: int, samples: int | None = None, seed: int | None = None,
                   jobs: int | None = None) -> VerificationReport:
     """Structural-law campaign: exhaustive when ``samples`` is None,
-    otherwise over seeded random instances (capped at n <= 12)."""
+    otherwise over seeded random instances (capped at n <= 12; the seed
+    defaults to DEFAULT_SEED).  A seed without samples is a ValueError."""
     started = time.perf_counter()
     if samples is None:
+        if seed is not None:
+            raise ValueError("--seed needs --samples: the exhaustive walk takes no seed")
         _check_cap(n, "23")
         params = {"campaign": "claims", "n": n, "mode": "exhaustive"}
         spec = (_ClaimsCampaign, (n,))
     else:
         _check_cap(n, "random")
+        seed = DEFAULT_SEED if seed is None else seed
         params = {"campaign": "claims", "n": n, "mode": "random",
                   "samples": samples, "seed": seed}
         spec = (_RandomClaimsCampaign, (n, samples, seed))
     _camp, acc = _run_campaign(spec, jobs)
+    cyclic = sum(acc.hist)
     violations = sorted(
         acc.violations,
         key=lambda v: (v.get("sample_index", -1), v["instance"], v["kind"]),
@@ -1019,8 +1007,8 @@ def verify_claims(n: int, samples: int | None = None, seed: int = DEFAULT_SEED,
     return VerificationReport(
         params=params,
         instances_checked=acc.visited,
-        cyclic_instances=acc.cyclic,
-        acyclic_instances=acc.visited - acc.cyclic,
+        cyclic_instances=cyclic,
+        acyclic_instances=acc.visited - cyclic,
         cycle_length_histogram={str(ell): c for ell, c in enumerate(acc.hist) if c},
         checked_vertices=acc.vertices,
         checked_triples=acc.triples,

@@ -9,7 +9,7 @@ construction and safe to share between workers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     DuplicateEdgeError,
@@ -52,15 +52,10 @@ class LinearHypergraph:
 
 @dataclass(frozen=True, eq=False)
 class ShadowGraph:
-    """The two-shadow: all vertex pairs contained in some hyperedge.
-
-    ``cover`` maps each pair to the unique hyperedge containing it
-    (unique by linearity).
-    """
+    """The two-shadow: all vertex pairs contained in some hyperedge."""
 
     n: int
     pairs: tuple[tuple[int, int], ...]
-    cover: dict[tuple[int, int], Edge] = field(repr=False)
 
     @property
     def edge_count(self) -> int:
@@ -101,13 +96,9 @@ def validate(n: int, raw_edges) -> LinearHypergraph:
 
 
 def shadow(h: LinearHypergraph) -> ShadowGraph:
-    """Two-shadow of ``h`` with the pair -> hyperedge cover map."""
-    cover: dict[tuple[int, int], Edge] = {}
-    for e in h.edges:
-        for p in itertools.combinations(e, 2):
-            cover[p] = e
-    pairs = tuple(sorted(cover))
-    return ShadowGraph(n=h.n, pairs=pairs, cover=cover)
+    """Two-shadow of ``h``, its pairs in ascending order."""
+    pairs = {p for e in h.edges for p in itertools.combinations(e, 2)}
+    return ShadowGraph(n=h.n, pairs=tuple(sorted(pairs)))
 
 
 def degree(h: LinearHypergraph, v: int) -> int:
@@ -238,8 +229,3 @@ def load_hg(path) -> LinearHypergraph:
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return parse_hg(text)
-
-
-def save_hg(h: LinearHypergraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_hg(h))

@@ -77,7 +77,7 @@ def test_remark_tie_sets(n, k):
     camp, acc = _run_campaign(
         (_BoundCampaign, (n, k, "23", "shadow", lhs, rhs, True, 8)), 1)
     ties = [LinearHypergraph(n=n, edges=tuple(camp.walk.cands[j] for j in s))
-            for s in acc.ties]
+            for s in acc.best]
     assert ties
     _assert_same_classes(ties)
 

@@ -226,6 +226,14 @@ def test_vacuous_arguments_exit_2(argv, capsys):
     assert "usage:" in err and "must be >=" in err
 
 
+def test_claims_seed_without_samples_exits_2(capsys):
+    # the exhaustive walk has no seed: one given is refused, not dropped
+    assert main(["verify", "claims", "--n", "3", "--seed", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error [usage]: --seed needs --samples")
+
+
 def test_non_file_input_exits_2(tmp_path, capsys):
     assert main(["stats", str(tmp_path)]) == 2
     assert "error [io]" in capsys.readouterr().err

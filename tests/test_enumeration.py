@@ -250,11 +250,11 @@ def test_shadow_equality_case_is_3_uniform(k, classes):
     # C(k, 2), and it is reached exactly by the linear 3-uniform instances
     # with 2-edges on every uncovered pair
     acc, _units = _BoundCampaign(k, k, "23", "shadow", 2, (k - 1) * k, True, 8).run_top(None)
-    assert acc.best_value == k * (k - 1) // 2
+    assert acc.max_shadow == k * (k - 1) // 2
     uniform = []
-    assert len(acc.ties) == enumerate_hypergraphs(k, "3", uniform.append)
+    assert len(acc.best) == enumerate_hypergraphs(k, "3", uniform.append)
     cands = enumeration._candidates(k, "23")[0]
-    tie_forms = {canonical_form(validate(k, [cands[j] for j in s])) for s in acc.ties}
+    tie_forms = {canonical_form(validate(k, [cands[j] for j in s])) for s in acc.best}
     assert len(tie_forms) == len({canonical_form(h) for h in uniform}) == classes
 
 
@@ -464,13 +464,12 @@ def test_campaign_workers_capped_by_units(monkeypatch):
 
 
 def _bound_summary(acc):
-    return (acc.visited, acc.free, acc.max_edges, acc.max_shadow, acc.best_value,
-            sorted(acc.witnesses), None if acc.ties is None else sorted(acc.ties),
+    return (acc.visited, acc.free, acc.max_shadow, sorted(acc.best),
             sorted(acc.violations, key=repr))
 
 
 def _claims_summary(acc):
-    return (acc.visited, acc.cyclic, acc.hist, acc.vertices, acc.triples, acc.pairs,
+    return (acc.visited, acc.hist, acc.vertices, acc.triples, acc.pairs,
             sorted(acc.violations, key=repr))
 
 

@@ -80,11 +80,12 @@ def test_shadow_count_identity_random():
 
 
 def test_shadow_cover_single_valued(fano):
+    # each shadow pair lies in exactly one hyperedge; pairs come sorted
     sg = shadow(fano)
-    for p, e in sg.cover.items():
-        assert set(p) <= set(e)
-        owners = [f for f in fano.edges if set(p) <= set(f)]
-        assert owners == [e]
+    assert list(sg.pairs) == sorted(sg.pairs)
+    for p in sg.pairs:
+        assert len([f for f in fano.edges if set(p) <= set(f)]) == 1
+    assert shadow(validate(5, [(2, 3, 4), (0, 1)])).pairs == ((0, 1), (2, 3), (2, 4), (3, 4))
 
 
 def test_degrees(fano, one_triple):

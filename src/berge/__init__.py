@@ -23,13 +23,11 @@ from .errors import (
 from .hypergraph import (
     LinearHypergraph,
     ShadowGraph,
-    components,
     degree,
     disjoint_union,
     format_hg,
     load_hg,
     parse_hg,
-    restrict,
     shadow,
     shadow_degree,
     validate,
@@ -66,7 +64,6 @@ __all__ = [
     "VertexOnCycleError",
     "VertexOutOfRangeError",
     "all_longest_berge_cycles",
-    "components",
     "degree",
     "disjoint_union",
     "format_hg",
@@ -79,7 +76,6 @@ __all__ = [
     "oracle_longest_cycle",
     "oracle_longest_path",
     "parse_hg",
-    "restrict",
     "shadow",
     "shadow_degree",
     "validate",

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 
@@ -83,7 +82,6 @@ def _int_at_least(low: int):
 
 
 _POSITIVE = _int_at_least(1)
-_NON_NEGATIVE = _int_at_least(0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -131,8 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--n", type=_POSITIVE, required=True)
         q.add_argument("--k", type=int, required=True)
         q.add_argument("--jobs", type=_POSITIVE, default=None)
-        q.add_argument("--witness-limit", type=_NON_NEGATIVE, default=8)
-        q.add_argument("--witness-dir")
     q = act.add_parser("claims", parents=[out])
     q.add_argument("--n", type=_POSITIVE, required=True)
     q.add_argument("--samples", type=_POSITIVE, default=None)
@@ -143,16 +139,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# verb handlers
+# verb handlers: each returns (command, result, exit code) for one report
 # ---------------------------------------------------------------------------
 
-def _run_construct(args) -> int:
-    h = constructions.build(args.family, n=args.n, k=args.k, copies=args.copies)
-    _write(args, format_hg(h))
-    return 0
-
-
-def _run_shadow(args, started) -> int:
+def _run_shadow(args):
     h = load_hg(args.file)
     sg = shadow(h)
     result = {
@@ -160,12 +150,10 @@ def _run_shadow(args, started) -> int:
         "shadow_edges": sg.edge_count,
         "pairs": [list(p) for p in sg.pairs],
     }
-    _emit(args, {"verb": "shadow", "file": args.file}, result,
-          time.perf_counter() - started)
-    return 0
+    return {"verb": "shadow", "file": args.file}, result, 0
 
 
-def _run_stats(args, started) -> int:
+def _run_stats(args):
     h = load_hg(args.file)
     # one pass over the edges; by linearity every edge adds |e| - 1 shadow
     # pairs at each of its vertices and C(|e|, 2) distinct shadow pairs.
@@ -194,9 +182,7 @@ def _run_stats(args, started) -> int:
         "min_shadow_degree": 0 if isolated else min(sdegs.values(), default=0),
         "max_shadow_degree": max(sdegs.values(), default=0),
     }
-    _emit(args, {"verb": "stats", "file": args.file}, result,
-          time.perf_counter() - started)
-    return 0
+    return {"verb": "stats", "file": args.file}, result, 0
 
 
 def _witness_result(w) -> dict:
@@ -208,7 +194,7 @@ def _witness_result(w) -> dict:
     }
 
 
-def _run_solve(args, started) -> int:
+def _run_solve(args):
     h = load_hg(args.file)
     command = {"verb": "solve", "action": args.action, "file": args.file}
     if args.action == "longest-path":
@@ -218,11 +204,10 @@ def _run_solve(args, started) -> int:
     else:
         command["k"] = args.k
         result = {"k": args.k, "found": has_berge_path(h, args.k)}
-    _emit(args, command, result, time.perf_counter() - started)
-    return 0
+    return command, result, 0
 
 
-def _run_check(args, started) -> int:
+def _run_check(args):
     h = load_hg(args.file)
     command = {"verb": "check", "action": "claims", "file": args.file}
     cyc = longest_berge_cycle(h)
@@ -239,36 +224,35 @@ def _run_check(args, started) -> int:
             "checked_pairs": pairs,
             "violations": [v.as_dict() for v in found],
         }
-    _emit(args, command, result, time.perf_counter() - started)
-    return 1 if result["violations"] else 0
+    return command, result, 1 if result["violations"] else 0
 
 
-def _run_verify(args) -> int:
-    if args.action == "theorem-uniform":
-        report = verify_theorem_uniform(args.n, args.k, jobs=args.jobs,
-                                        witness_limit=args.witness_limit)
-    elif args.action == "theorem-shadow":
-        report = verify_theorem_shadow(args.n, args.k, jobs=args.jobs,
-                                       witness_limit=args.witness_limit)
-    elif args.action == "remark":
-        report = verify_remark(args.n, args.k, jobs=args.jobs,
-                               witness_limit=args.witness_limit)
-    else:
+_BOUNDS = {
+    "theorem-uniform": verify_theorem_uniform,
+    "theorem-shadow": verify_theorem_shadow,
+    "remark": verify_remark,
+}
+
+
+def _run_verify(args):
+    if args.action == "claims":
         report = verify_claims(args.n, samples=args.samples, seed=args.seed,
                                jobs=args.jobs)
-    command = {"verb": "verify", "action": args.action}
-    command.update(report.params)
+    else:
+        report = _BOUNDS[args.action](args.n, args.k, jobs=args.jobs)
     result = report.as_dict()
-    result.pop("params")
-    runtime = result.pop("runtime_seconds")
-    if getattr(args, "witness_dir", None) and report.extremal_witnesses:
-        os.makedirs(args.witness_dir, exist_ok=True)
-        for i, payload in enumerate(report.extremal_witnesses):
-            path = os.path.join(args.witness_dir, f"witness_{i:03d}.hg")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-    _emit(args, command, result, runtime)
-    return 0 if report.holds else 1
+    command = {"verb": "verify", "action": args.action, **result.pop("params")}
+    result.pop("runtime_seconds")
+    return command, result, 0 if report.holds else 1
+
+
+_HANDLERS = {
+    "shadow": _run_shadow,
+    "stats": _run_stats,
+    "solve": _run_solve,
+    "check": _run_check,
+    "verify": _run_verify,
+}
 
 
 def main(argv=None) -> int:
@@ -277,17 +261,12 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         if args.verb == "construct":
-            return _run_construct(args)
-        if args.verb == "shadow":
-            return _run_shadow(args, started)
-        if args.verb == "stats":
-            return _run_stats(args, started)
-        if args.verb == "solve":
-            return _run_solve(args, started)
-        if args.verb == "check":
-            return _run_check(args, started)
-        if args.verb == "verify":
-            return _run_verify(args)
+            h = constructions.build(args.family, n=args.n, k=args.k, copies=args.copies)
+            _write(args, format_hg(h))
+            return 0
+        command, result, code = _HANDLERS[args.verb](args)
+        _emit(args, command, result, time.perf_counter() - started)
+        return code
     except BergeError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 2
@@ -300,7 +279,6 @@ def main(argv=None) -> int:
     except (RecursionError, MemoryError) as exc:
         print(f"error [resource]: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    raise AssertionError(f"unhandled verb {args.verb}")
 
 
 if __name__ == "__main__":

@@ -13,16 +13,6 @@ import itertools
 from .errors import BadParityError, BadResidueError
 from .hypergraph import LinearHypergraph, disjoint_union, validate
 
-FAMILIES = (
-    "fano",
-    "sts_bose",
-    "sts_skolem",
-    "disjoint_sts",
-    "star_k3",
-    "matching_k2",
-    "two_edge_clique",
-)
-
 
 def fano() -> LinearHypergraph:
     """The 7-point, 7-triple system covering every pair exactly once."""
@@ -147,22 +137,26 @@ def two_edge_clique(n: int) -> LinearHypergraph:
     return validate(n, list(itertools.combinations(range(n), 2)))
 
 
+# each family's generator and the parameters it takes, in listing order
+_TAKES = {
+    "fano": (fano, ()),
+    "sts_bose": (sts_bose, ("n",)),
+    "sts_skolem": (sts_skolem, ("n",)),
+    "disjoint_sts": (extremal_disjoint_sts, ("k", "copies")),
+    "star_k3": (star_k3, ("n",)),
+    "matching_k2": (matching_k2, ("n",)),
+    "two_edge_clique": (two_edge_clique, ("n",)),
+}
+FAMILIES = tuple(_TAKES)
+
+
 def build(family: str, n: int | None = None, k: int | None = None,
           copies: int | None = None) -> LinearHypergraph:
     """Dispatch a family name plus the parameters it takes to its generator;
     a missing parameter, or one the family does not take, is a ValueError."""
-    takes = {
-        "fano": (fano, ()),
-        "sts_bose": (sts_bose, ("n",)),
-        "sts_skolem": (sts_skolem, ("n",)),
-        "disjoint_sts": (extremal_disjoint_sts, ("k", "copies")),
-        "star_k3": (star_k3, ("n",)),
-        "matching_k2": (matching_k2, ("n",)),
-        "two_edge_clique": (two_edge_clique, ("n",)),
-    }
-    if family not in takes:
+    if family not in _TAKES:
         raise ValueError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
-    generator, names = takes[family]
+    generator, names = _TAKES[family]
     given = {"n": n, "k": k, "copies": copies}
     for name, value in given.items():
         if value is None and name in names:

@@ -65,6 +65,7 @@ EXHAUSTIVE_CAP_3ONLY = 8
 RANDOM_CAP = 12
 TINY_ALL_CYCLES = 5   # below this, structural laws run on every longest cycle
 _SPLIT_DEPTH = 3      # DFS prefix depth at which parallel work units start
+WITNESS_LIMIT = 8     # extremal witnesses in a bound report
 CAP_ENV_VAR = "HX_CAP_N"
 
 
@@ -501,14 +502,14 @@ def _worker_run(unit):
 def _run_campaign(spec, jobs: int | None):
     """Build the campaign ``factory(*args)`` of ``spec = (factory, args)``,
     call its ``run_top``, then ``run_prefix`` on each work unit, on ``jobs``
-    processes (default: one per CPU) but never more than there are units,
-    merging every partial accumulator into the top's.  With one job the
-    exhaustive walks are not split.  Returns the campaign and the merged
-    accumulator."""
+    processes (default: one per CPU) but never more than there are CPUs or
+    units, merging every partial accumulator into the top's.  With one job
+    the exhaustive walks are not split.  Returns the campaign and the
+    merged accumulator."""
     factory, args = spec
     camp = factory(*args)
-    if jobs is None:
-        jobs = os.cpu_count() or 1
+    cpus = os.cpu_count() or 1
+    jobs = cpus if jobs is None else min(jobs, cpus)
     acc, units = camp.run_top(None if jobs <= 1 else _SPLIT_DEPTH)
     jobs = min(jobs, len(units))
     if jobs <= 1:
@@ -562,21 +563,21 @@ class _BoundAcc:
 class _BoundCampaign:
     """Max e(H) / e(∂H) over hypergraphs with no Berge path of length k.
 
-    Both metrics are read off the shadow size.  The ``"edges"`` metric runs
-    on linear 3-uniform walks, where every edge adds three shadow pairs
-    (``unit`` = 3; 1 for ``"shadow"``), so lhs * value > rhs iff the shadow
-    size exceeds ``max_ok`` = floor(unit * rhs / lhs), and a violation's
-    value is the shadow size // ``unit``.
+    Both are read off the shadow size.  A 3-uniform walk bounds the edge
+    count, and every edge of a linear 3-uniform instance adds three shadow
+    pairs (``unit`` = 3); a mixed walk bounds the shadow size (``unit`` =
+    1).  So lhs * value > rhs iff the shadow size exceeds ``max_ok`` =
+    floor(unit * rhs / lhs), and a violation's value is the shadow size //
+    ``unit``.
     """
 
-    def __init__(self, n: int, k: int, uniformity: str, metric: str,
-                 bound_lhs: int, bound_rhs: int, collect_classes: bool,
-                 witness_limit: int):
+    def __init__(self, n: int, k: int, uniformity: str, bound_lhs: int,
+                 bound_rhs: int, collect_classes: bool):
         self.k = k
-        self.unit = 3 if metric == "edges" else 1
+        self.unit = 3 if uniformity == "3" else 1
         self.max_ok = bound_rhs * self.unit // bound_lhs
         self.bound = str(Fraction(bound_rhs, bound_lhs))
-        self.cap = None if collect_classes else witness_limit
+        self.cap = None if collect_classes else WITNESS_LIMIT
         self.walk = _Walk(n, uniformity)
 
     def path_hits(self, cands: int) -> int:
@@ -648,21 +649,22 @@ class _BoundCampaign:
         return acc, units
 
 
-# perfbench/tracing.py builds bound campaigns under this name
-_make_bound_campaign = _BoundCampaign
+def _make_bound_campaign(n, k, uniformity, _metric, lhs, rhs, collect_classes, _limit):
+    """perfbench/tracing.py builds bound campaigns under this name, passing
+    a metric and a witness limit that uniformity and WITNESS_LIMIT fix."""
+    return _BoundCampaign(n, k, uniformity, lhs, rhs, collect_classes)
 
 
-def _verify_bound(campaign: str, n: int, k: int, uniformity: str, metric: str,
-                  lhs: int, rhs: int, jobs: int | None, witness_limit: int,
-                  collect_classes: bool = False, family=None) -> VerificationReport:
+def _verify_bound(campaign: str, n: int, k: int, uniformity: str, lhs: int, rhs: int,
+                  jobs: int | None, collect_classes: bool = False,
+                  family=None) -> VerificationReport:
     """Run one bound campaign and build its report; ``family(n)``, when
     given, is the extremal family the classes are compared with."""
     _check_cap(n, uniformity)
     started = time.perf_counter()
-    spec = (_BoundCampaign,
-            (n, k, uniformity, metric, lhs, rhs, collect_classes, witness_limit))
+    spec = (_BoundCampaign, (n, k, uniformity, lhs, rhs, collect_classes))
     camp, acc = _run_campaign(spec, jobs)
-    witnesses = sorted(acc.best)[:witness_limit]
+    witnesses = sorted(acc.best)[:WITNESS_LIMIT]
 
     def instance_of(stack: tuple) -> LinearHypergraph:
         return LinearHypergraph(n=n, edges=tuple(camp.walk.cands[j] for j in stack))
@@ -687,28 +689,23 @@ def _verify_bound(campaign: str, n: int, k: int, uniformity: str, metric: str,
     return report
 
 
-def verify_theorem_uniform(n: int, k: int, jobs: int | None = None,
-                           witness_limit: int = 8) -> VerificationReport:
+def verify_theorem_uniform(n: int, k: int, jobs: int | None = None) -> VerificationReport:
     """Max hyperedge count of 3-uniform linear hypergraphs on n vertices
     with no Berge path of length k, checked against 6*e(H) <= (k-1)*n."""
     if k < 4:
         raise ValueError(f"this bound needs k >= 4, got {k}")
-    return _verify_bound("theorem-uniform", n, k, "3", "edges", 6, (k - 1) * n,
-                         jobs, witness_limit)
+    return _verify_bound("theorem-uniform", n, k, "3", 6, (k - 1) * n, jobs)
 
 
-def verify_theorem_shadow(n: int, k: int, jobs: int | None = None,
-                          witness_limit: int = 8) -> VerificationReport:
+def verify_theorem_shadow(n: int, k: int, jobs: int | None = None) -> VerificationReport:
     """Max shadow size of {2,3}-uniform linear hypergraphs on n vertices
     with no Berge path of length k, checked against 2*e(∂H) <= (k-1)*n."""
     if k < 4:
         raise ValueError(f"this bound needs k >= 4, got {k}")
-    return _verify_bound("theorem-shadow", n, k, "23", "shadow", 2, (k - 1) * n,
-                         jobs, witness_limit)
+    return _verify_bound("theorem-shadow", n, k, "23", 2, (k - 1) * n, jobs)
 
 
-def verify_remark(n: int, k: int, jobs: int | None = None,
-                  witness_limit: int = 8) -> VerificationReport:
+def verify_remark(n: int, k: int, jobs: int | None = None) -> VerificationReport:
     """Short-path cases k in {1,2,3} with their exact shadow bounds and
     extremal-family identification via canonical forms.
 
@@ -727,8 +724,8 @@ def verify_remark(n: int, k: int, jobs: int | None = None,
         family = constructions.matching_k2
     elif k == 3 and n % 2 == 1 and n >= 3:
         family = constructions.star_k3
-    return _verify_bound("remark", n, k, "23", "shadow", lhs, rhs, jobs,
-                         witness_limit, collect_classes=True, family=family)
+    return _verify_bound("remark", n, k, "23", lhs, rhs, jobs,
+                         collect_classes=True, family=family)
 
 
 # ---------------------------------------------------------------------------

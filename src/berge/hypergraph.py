@@ -1,4 +1,4 @@
-"""Linear {2,3}-uniform hypergraphs: validation, shadow, restriction, unions.
+"""Linear {2,3}-uniform hypergraphs: validation, shadow, components, unions.
 
 Vertices are dense 0-based integers.  A hypergraph is *linear* when every
 two hyperedges meet in at most one vertex; equivalently, every vertex pair
@@ -37,14 +37,6 @@ class LinearHypergraph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    @property
-    def m2(self) -> int:
-        return sum(1 for e in self.edges if len(e) == 2)
-
-    @property
-    def m3(self) -> int:
-        return sum(1 for e in self.edges if len(e) == 3)
 
     def __repr__(self) -> str:
         return f"LinearHypergraph(n={self.n}, m={self.m})"
@@ -115,38 +107,6 @@ def shadow_degree(h: LinearHypergraph, v: int) -> int:
     """
     _check_vertex(h, v)
     return sum(len(e) - 1 for e in h.edges if v in e)
-
-
-def restrict(h: LinearHypergraph, vertices) -> tuple[LinearHypergraph, dict[int, int]]:
-    """Restriction to a vertex subset: keep e∩V whenever it has >= 2 vertices.
-
-    The surviving edges are relabeled onto 0..|V|-1 (sorted order of V) and
-    the old->new mapping is returned alongside.  The result is again a valid
-    linear {2,3}-uniform hypergraph.
-    """
-    vset = set(vertices)
-    for v in vset:
-        _check_vertex(h, v)
-    order = sorted(vset)
-    mapping = {old: new for new, old in enumerate(order)}
-    kept = []
-    for e in h.edges:
-        cut = tuple(mapping[v] for v in e if v in vset)
-        if len(cut) >= 2:
-            kept.append(cut)
-    return validate(len(order), kept), mapping
-
-
-def components(h: LinearHypergraph) -> list[list[int]]:
-    """Connected components of the shadow (equivalently of ``h``).
-
-    Isolated vertices form singleton components.  Components are sorted by
-    their minimum vertex and internally sorted.
-    """
-    groups = edge_components(h)
-    touched = {v for g in groups for v in g}
-    groups += [[v] for v in range(h.n) if v not in touched]
-    return sorted(groups)
 
 
 def edge_components(h: LinearHypergraph) -> list[list[int]]:

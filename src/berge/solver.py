@@ -210,9 +210,11 @@ def _path_search(h: LinearHypergraph, floor: int, ub: int) -> BergePath | None:
             free = adj[w] & ~vis
             if cprev >= 0:
                 free &= ~emask[cprev]
-            if free:
+            if free and lp < best_len:
                 # BFS over the reach of w's free neighbours; `two` collects
-                # the edges with at least two vertices in {w} | reach
+                # the edges with at least two vertices in {w} | reach.  At a
+                # record-length tip nothing is cut: the edge to any free
+                # neighbour is live, so there is one more than need = 0
                 reach = 0
                 one, two = inc[w], 0
                 frontier = free

@@ -220,22 +220,8 @@ def check_claim_plus_plus(h: LinearHypergraph, ctx: CycleContext,
     shift(S(u_j)∪L(u_j), -1) and shift(S(u_j), -2).
     """
     ev = _checked_off_cycle_triple(h, ctx, triple)
-    masks = {u: _peripheral_masks(h, ctx, u) for u in ev}
-    ell = ctx.length
-    for ui, uj in itertools.permutations(ev, 2):
-        si, li = masks[ui]
-        sj, lj = masks[uj]
-        hit = claim_pair_hit(si, li, sj, lj, ell, max_shift=2)
-        if hit is not None:
-            offset, name, p = hit
-            return Violation(
-                kind="claim-plus-plus",
-                us=(ui, uj),
-                position=p,
-                condition=f"(S∪L) ∩ shift({name},-{offset}) nonempty",
-                witnesses=(triple,),
-            )
-    return None
+    return _pair_law(h, ctx, list(itertools.permutations(ev, 2)), 2,
+                     "claim-plus-plus", (triple,))
 
 
 def check_claim_triple(h: LinearHypergraph, ctx: CycleContext,
@@ -254,25 +240,10 @@ def check_claim_triple(h: LinearHypergraph, ctx: CycleContext,
             f"edges must share exactly one vertex; {e1} and {e2} share {sorted(shared)}"
         )
     u1 = shared.pop()
-    ell = ctx.length
     lefts = [u for u in ev1 if u != u1]
     rights = [u for u in ev2 if u != u1]
-    masks = {u: _peripheral_masks(h, ctx, u) for u in lefts + rights}
-    for ui in lefts:
-        for uj in rights:
-            si, li = masks[ui]
-            sj, lj = masks[uj]
-            hit = claim_pair_hit(si, li, sj, lj, ell, max_shift=3)
-            if hit is not None:
-                offset, name, p = hit
-                return Violation(
-                    kind="claim-triple",
-                    us=(ui, uj),
-                    position=p,
-                    condition=f"(S∪L) ∩ shift({name},-{offset}) nonempty",
-                    witnesses=(e1, e2),
-                )
-    return None
+    return _pair_law(h, ctx, list(itertools.product(lefts, rights)), 3,
+                     "claim-triple", (e1, e2))
 
 
 def check_laws(h: LinearHypergraph, ctx: CycleContext) -> tuple[list[Violation], int, int, int]:
@@ -333,6 +304,25 @@ def _peripheral_masks(h: LinearHypergraph, ctx: CycleContext, u: int) -> tuple[i
         if x == u:
             l_mask |= 1 << i
     return s_mask, l_mask
+
+
+def _pair_law(h: LinearHypergraph, ctx: CycleContext, pairs: list, max_shift: int,
+              kind: str, witnesses: tuple[Edge, ...]) -> Violation | None:
+    """The first ordered vertex pair of ``pairs`` whose shifted disjointness
+    up to ``max_shift`` fails (see ``claim_pair_hit``), as a Violation."""
+    masks = {u: _peripheral_masks(h, ctx, u) for u in set().union(*pairs)}
+    for ui, uj in pairs:
+        hit = claim_pair_hit(*masks[ui], *masks[uj], ctx.length, max_shift)
+        if hit is not None:
+            offset, name, p = hit
+            return Violation(
+                kind=kind,
+                us=(ui, uj),
+                position=p,
+                condition=f"(S∪L) ∩ shift({name},-{offset}) nonempty",
+                witnesses=witnesses,
+            )
+    return None
 
 
 def _checked_off_cycle_triple(h: LinearHypergraph, ctx: CycleContext, e) -> Edge:

@@ -93,8 +93,8 @@ def test_criterion_1_edge_bound_for_3_uniform(tmp_path):
                 assert res["max_hyperedges"] == 7
                 assert 6 * 7 == (7 - 1) * 7
     # ... and it is the only extremal class there: the Fano plane
-    fano_classes = _verify_bound("theorem-uniform", 7, 7, "3", "edges", 6, 42,
-                                 int(JOBS), 8, collect_classes=True,
+    fano_classes = _verify_bound("theorem-uniform", 7, 7, "3", 6, 42,
+                                 int(JOBS), collect_classes=True,
                                  family=lambda n: fano())
     assert fano_classes.extremal_class_count == 1
     assert fano_classes.extremal_matches_family is True

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import os
 import random
 
 import pytest
@@ -217,7 +218,7 @@ def test_bound_prune_against_brute_force(n, uniformity, k):
 
     checked = enumerate_hypergraphs(n, uniformity, visit)
     for jobs in (1, 2):
-        r = _verify_bound("brute-force", n, k, uniformity, "shadow", 1, n * n, jobs, 8)
+        r = _verify_bound("brute-force", n, k, uniformity, 1, n * n, jobs)
         assert (r.bp_free_count, r.max_shadow_edges) == (free, max_shadow)
         assert r.instances_checked == checked
         assert r.extremal_witnesses == at_max
@@ -226,10 +227,10 @@ def test_bound_prune_against_brute_force(n, uniformity, k):
 
 
 @pytest.mark.parametrize("args,count,value,bound,instance", [
-    ((5, 4, "3", "edges", 6, 6), 15, 2, "1", "5 2\n0 1 2\n0 3 4\n"),
-    ((6, 5, "3", "edges", 6, 13), 150, 3, "13/6", "6 3\n0 1 2\n0 3 4\n1 3 5\n"),
-    ((5, 4, "23", "shadow", 2, 9), 480, 6, "9/2", "5 2\n0 1 2\n0 3 4\n"),
-    ((4, 2, "23", "shadow", 1, 0), 13, 1, "0", "4 1\n0 1\n"),
+    ((5, 4, "3", 6, 6), 15, 2, "1", "5 2\n0 1 2\n0 3 4\n"),
+    ((6, 5, "3", 6, 13), 150, 3, "13/6", "6 3\n0 1 2\n0 3 4\n1 3 5\n"),
+    ((5, 4, "23", 2, 9), 480, 6, "9/2", "5 2\n0 1 2\n0 3 4\n"),
+    ((4, 2, "23", 1, 0), 13, 1, "0", "4 1\n0 1\n"),
 ])
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("collect_classes", [False, True])
@@ -237,7 +238,7 @@ def test_bound_exceeded_records(args, count, value, bound, instance, jobs,
                                 collect_classes):
     # bounds tighter than the true maxima: every path-free instance above
     # them is a violation, reported with its value and the bound rhs/lhs
-    r = _verify_bound("tight", *args, jobs, 3, collect_classes=collect_classes)
+    r = _verify_bound("tight", *args, jobs, collect_classes=collect_classes)
     assert r.holds is False
     assert len(r.violations) == count
     assert r.violations[0] == {"kind": "bound-exceeded", "value": value,
@@ -249,7 +250,7 @@ def test_shadow_equality_case_is_3_uniform(k, classes):
     # on n = k vertices every instance is path-free, the maximum shadow is
     # C(k, 2), and it is reached exactly by the linear 3-uniform instances
     # with 2-edges on every uncovered pair
-    acc, _units = _BoundCampaign(k, k, "23", "shadow", 2, (k - 1) * k, True, 8).run_top(None)
+    acc, _units = _BoundCampaign(k, k, "23", 2, (k - 1) * k, True).run_top(None)
     assert acc.max_shadow == k * (k - 1) // 2
     uniform = []
     assert len(acc.best) == enumerate_hypergraphs(k, "3", uniform.append)
@@ -433,7 +434,8 @@ def test_campaign_determinism_across_jobs():
 
 
 def test_campaign_workers_capped_by_units(monkeypatch):
-    # a pool never has more workers than work units, and one is no pool
+    # a pool never has more workers than CPUs or work units, and one is no
+    # pool; the CPU count is patched, so no process starts
     sizes = []
 
     class SerialPool:
@@ -453,7 +455,9 @@ def test_campaign_workers_capped_by_units(monkeypatch):
 
     monkeypatch.setattr(enumeration, "Pool", SerialPool)
     monkeypatch.setattr(enumeration, "_WORKER", {})
-    for n, jobs, want in ((3, 8, []), (4, 64, [13]), (4, 2, [2])):
+    for cpus, n, jobs, want in ((16, 3, 8, []), (16, 4, 64, [13]), (16, 4, 2, [2]),
+                                (3, 4, 64, [3]), (1, 4, 64, []), (3, 4, None, [3])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         sizes.clear()
         d = verify_claims(n, jobs=jobs).as_dict()   # n = 3: no unit, n = 4: 13
         assert sizes == want
@@ -474,9 +478,9 @@ def _claims_summary(acc):
 
 
 @pytest.mark.parametrize("build,summary,k", [
-    (lambda: _BoundCampaign(5, 4, "23", "shadow", 2, 3 * 5, False, 8), _bound_summary, 4),
-    (lambda: _BoundCampaign(5, 3, "23", "shadow", 2, 3 * 4, True, 8), _bound_summary, 3),
-    (lambda: _BoundCampaign(6, 3, "23", "shadow", 2, 3 * 5, True, 8), _bound_summary, 3),
+    (lambda: _BoundCampaign(5, 4, "23", 2, 3 * 5, False), _bound_summary, 4),
+    (lambda: _BoundCampaign(5, 3, "23", 2, 3 * 4, True), _bound_summary, 3),
+    (lambda: _BoundCampaign(6, 3, "23", 2, 3 * 5, True), _bound_summary, 3),
     (lambda: _ClaimsCampaign(5), _claims_summary, None),
 ], ids=["theorem-shadow", "remark", "remark-6-3", "claims"])
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])

@@ -9,16 +9,15 @@ from berge import (
     FormatError,
     LinearityError,
     VertexOutOfRangeError,
-    components,
     degree,
     disjoint_union,
     format_hg,
     parse_hg,
-    restrict,
     shadow,
     shadow_degree,
     validate,
 )
+from berge.hypergraph import edge_components
 
 
 def test_validate_single_triple():
@@ -76,7 +75,8 @@ def test_shadow_count_identity_random():
 
     for i in range(200):
         h = random_linear(rng.randint(1, 9), random.Random(f"shadow:{i}"))
-        assert shadow(h).edge_count == h.m2 + 3 * h.m3
+        m2 = sum(1 for e in h.edges if len(e) == 2)
+        assert shadow(h).edge_count == m2 + 3 * (h.m - m2)
 
 
 def test_shadow_cover_single_valued(fano):
@@ -107,44 +107,12 @@ def test_shadow_degree_sum_is_twice_shadow():
         assert total == 2 * shadow(h).edge_count
 
 
-def test_restrict_triple_to_pair():
-    h = validate(3, [(0, 1, 2)])
-    r, mapping = restrict(h, [0, 1])
-    assert r.edges == ((0, 1),)
-    assert mapping == {0: 0, 1: 1}
-
-
-def test_restrict_drops_only_small_cuts(fano):
-    r, _ = restrict(fano, range(6))
-    assert r.n == 6
-    assert r.m2 == 3 and r.m3 == 4
-    # still a valid linear hypergraph: revalidation happens inside restrict
-
-
-def test_restrict_identity_on_uncovered_vertex():
-    h = validate(4, [(0, 1, 2)])
-    r, mapping = restrict(h, [0, 1, 2])
-    assert r.edges == h.edges and r.n == 3
-
-
-def test_restrict_closure_random():
-    # restriction of a valid linear hypergraph always revalidates
-    from berge.enumeration import random_linear
-
-    rng = random.Random(3)
-    for i in range(200):
-        h = random_linear(rng.randint(1, 9), random.Random(f"res:{i}"))
-        keep = [v for v in range(h.n) if rng.random() < 0.6]
-        r, mapping = restrict(h, keep)
-        assert r.n == len(keep)
-        assert validate(r.n, r.edges) == r
-
-
-def test_components(fano, two_triples):
-    assert components(fano) == [list(range(7))]
-    assert components(two_triples) == [[0, 1, 2], [3, 4, 5]]
-    edgeless = validate(4, [])
-    assert components(edgeless) == [[0], [1], [2], [3]]
+def test_edge_components(fano, two_triples):
+    # isolated vertices form no component here
+    assert edge_components(fano) == [list(range(7))]
+    assert sorted(edge_components(two_triples)) == [[0, 1, 2], [3, 4, 5]]
+    assert edge_components(validate(4, [])) == []
+    assert sorted(edge_components(validate(6, [(4, 5), (0, 2, 4)]))) == [[0, 2, 4, 5]]
 
 
 def test_disjoint_union(fano, one_triple):
@@ -153,7 +121,7 @@ def test_disjoint_union(fano, one_triple):
     assert shadow(du).edge_count == 2 * shadow(fano).edge_count
     assert disjoint_union(fano, validate(0, [])) == fano
     tt = disjoint_union(one_triple, one_triple)
-    assert tt.n == 6 and tt.m == 2 and len(components(tt)) == 2
+    assert tt.n == 6 and tt.m == 2 and len(edge_components(tt)) == 2
 
 
 def test_hg_round_trip(fano):

@@ -8,8 +8,9 @@ size-3 edges) forces the whole connected hypergraph to be that cycle.
 
 import itertools
 
-from berge import components, has_berge_path, longest_berge_cycle, shadow
+from berge import has_berge_path, longest_berge_cycle, shadow
 from berge.enumeration import enumerate_hypergraphs
+from berge.hypergraph import edge_components
 
 
 def _path4_free_connected(n):
@@ -19,7 +20,8 @@ def _path4_free_connected(n):
     def visit(h):
         if has_berge_path(h, 4):
             return False   # supersets all contain the path too
-        if len(components(h)) == 1:
+        # connected: every n here is >= 3, so no edgeless instance is
+        if edge_components(h) == [list(range(n))]:
             out.append(h)
         return True
 

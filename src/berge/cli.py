@@ -68,20 +68,15 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= ``low``; anything else is a usage error."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-    return parse
-
-
-_POSITIVE = _int_at_least(1)
+def _positive(text: str) -> int:
+    """argparse type: an integer >= 1; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 @functools.lru_cache(maxsize=None)
@@ -126,14 +121,14 @@ def build_parser() -> argparse.ArgumentParser:
     act = p.add_subparsers(dest="action", required=True)
     for name in ("theorem-uniform", "theorem-shadow", "remark"):
         q = act.add_parser(name, parents=[out])
-        q.add_argument("--n", type=_POSITIVE, required=True)
+        q.add_argument("--n", type=_positive, required=True)
         q.add_argument("--k", type=int, required=True)
-        q.add_argument("--jobs", type=_POSITIVE, default=None)
+        q.add_argument("--jobs", type=_positive, default=None)
     q = act.add_parser("claims", parents=[out])
-    q.add_argument("--n", type=_POSITIVE, required=True)
-    q.add_argument("--samples", type=_POSITIVE, default=None)
+    q.add_argument("--n", type=_positive, required=True)
+    q.add_argument("--samples", type=_positive, default=None)
     q.add_argument("--seed", type=int, default=None)
-    q.add_argument("--jobs", type=_POSITIVE, default=None)
+    q.add_argument("--jobs", type=_positive, default=None)
 
     return top
 
@@ -242,7 +237,6 @@ def _run_verify(args):
         report = _BOUNDS[args.action](args.n, args.k, jobs=args.jobs)
     result = report.as_dict()
     command = {"verb": "verify", "action": args.action, **result.pop("params")}
-    result.pop("runtime_seconds")
     return command, result, 0 if report.holds else 1
 
 

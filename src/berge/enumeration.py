@@ -43,7 +43,6 @@ import functools
 import itertools
 import os
 import random
-import time
 import types
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -95,7 +94,6 @@ class VerificationReport:
     params: dict
     instances_checked: int = 0
     violations: list = field(default_factory=list)
-    runtime_seconds: float = 0.0
     bp_free_count: int | None = None
     max_hyperedges: int | None = None
     max_shadow_edges: int | None = None
@@ -661,7 +659,6 @@ def _verify_bound(campaign: str, n: int, k: int, uniformity: str, lhs: int, rhs:
     """Run one bound campaign and build its report; ``family(n)``, when
     given, is the extremal family the classes are compared with."""
     _check_cap(n, uniformity)
-    started = time.perf_counter()
     spec = (_BoundCampaign, (n, k, uniformity, lhs, rhs, collect_classes))
     camp, acc = _run_campaign(spec, jobs)
     witnesses = sorted(acc.best)[:WITNESS_LIMIT]
@@ -679,7 +676,6 @@ def _verify_bound(campaign: str, n: int, k: int, uniformity: str, lhs: int, rhs:
         bound_value=camp.bound,
         extremal_witnesses=[format_hg(instance_of(s)) for s in witnesses],
         violations=sorted(acc.violations, key=lambda v: v["instance"]),
-        runtime_seconds=round(time.perf_counter() - started, 6),
     )
     if collect_classes:
         classes = {canonical_form(instance_of(s)) for s in acc.best}
@@ -752,14 +748,22 @@ class _ClaimsAcc:
         self.pairs += other.pairs
         self.violations.extend(other.violations)
 
-    def object_laws(self, h: LinearHypergraph, cycle: BergeCycle) -> list:
-        """Object-level laws around one oriented cycle: counts the checks
-        and returns the violations."""
+    def record(self, kind: str, us, cycle, condition: str, instance: str, **where):
+        """Record one violation around the cycle with vertex sequence
+        ``cycle`` of the instance with .hg text ``instance``; ``where``
+        names a random sample (``sample_index``)."""
+        self.violations.append({"kind": kind, "vertices": list(us), "cycle": list(cycle),
+                                "condition": condition, **where, "instance": instance})
+
+    def object_laws(self, h: LinearHypergraph, cycle: BergeCycle, **where):
+        """Check the object-level laws around one oriented cycle, counting
+        the checks and recording each violation around that cycle."""
         found, vertices, triples, pairs = check_laws(h, CycleContext.from_cycle(h, cycle))
         self.vertices += vertices
         self.triples += triples
         self.pairs += pairs
-        return found
+        for v in found:
+            self.record(v.kind, v.us, cycle.vertices, v.condition, format_hg(h), **where)
 
 
 class _ClaimsCampaign:
@@ -807,23 +811,12 @@ class _ClaimsCampaign:
             x ^= low
         return s_mask & ~(l_mask | l_mask << 1 | l_mask >> (ell - 1)), l_mask
 
-    def _record(self, acc: _ClaimsAcc, cycle, kind: str, us, detail: str):
-        acc.violations.append({
-            "kind": kind,
-            "vertices": list(us),
-            "cycle": list(cycle),
-            "condition": detail,
-            "instance": self.walk.payload(),
-        })
-
     def _check_vertex(self, acc: _ClaimsAcc, ctx, u: int) -> tuple[int, int]:
-        ell = ctx[0]
         s_mask, l_mask = self._s_l(ctx, u)
         acc.vertices += 1
-        if claim_plus_hit(s_mask, l_mask, ell) is not None:
-            self._record(acc, ctx[1], "claim-plus", (u,), "(S∪L) ∩ shift(S,-1) nonempty")
-        if s_mask.bit_count() > ell >> 1:
-            self._record(acc, ctx[1], "s-size", (u,), "|S| exceeds floor(l/2)")
+        hit = claim_plus_hit(s_mask, l_mask, ctx[0])
+        if hit is not None:
+            acc.record("claim-plus", (u,), ctx[1], hit[0], self.walk.payload())
         return s_mask, l_mask
 
     def _check_triple(self, acc: _ClaimsAcc, ctx, ei: int):
@@ -836,9 +829,9 @@ class _ClaimsCampaign:
         for i in range(3):
             si, li = sl[i]
             for j in range(3):
-                if i != j and claim_pair_hit(si, li, sl[j][0], sl[j][1], ell, 2):
-                    self._record(acc, ctx[1], "claim-plus-plus", (ev[i], ev[j]),
-                                 "shifted overlap within an off-cycle hyperedge")
+                if i != j and (hit := claim_pair_hit(si, li, *sl[j], ell, 2)):
+                    acc.record("claim-plus-plus", (ev[i], ev[j]), ctx[1], hit[0],
+                               w.payload())
         for u in ev:
             # by linearity an off-cycle triple fj through u meets ev in u alone
             left = [(v, s) for v, s in zip(ev, sl) if v != u]
@@ -851,9 +844,9 @@ class _ClaimsCampaign:
                     for x, (sx, lx) in xs:
                         for y, (sy, ly) in ys:
                             acc.pairs += 1
-                            if claim_pair_hit(sx, lx, sy, ly, ell, 3):
-                                self._record(acc, ctx[1], "claim-triple", (x, y),
-                                             "shifted overlap across sharing hyperedges")
+                            if hit := claim_pair_hit(sx, lx, sy, ly, ell, 3):
+                                acc.record("claim-triple", (x, y), ctx[1], hit[0],
+                                           w.payload())
 
     def _check_mask(self, acc: _ClaimsAcc, ctx, rest: int):
         """Check each off-cycle vertex of the vertex mask ``rest`` and, once
@@ -885,17 +878,16 @@ class _ClaimsCampaign:
         cycles = all_longest_berge_cycles(h)
         if ctx is None:
             if cycles:
-                self._record(acc, (), "solver-mismatch", (),
-                             "incremental context missing but a cycle exists")
+                acc.record("solver-mismatch", (), (),
+                           "incremental context missing but a cycle exists", format_hg(h))
             return
         if not cycles or cycles[0].length != ctx[0]:
-            self._record(acc, ctx[1], "solver-mismatch", (),
-                         "incremental cycle length disagrees with solver")
+            acc.record("solver-mismatch", (), ctx[1],
+                       "incremental cycle length disagrees with solver", format_hg(h))
             return
         for cyc in cycles:
             for oriented in (cyc, _reverse_cycle(cyc)):
-                for v in acc.object_laws(h, oriented):
-                    self._record(acc, ctx[1], v.kind, v.us, v.condition)
+                acc.object_laws(h, oriented)
 
     def advance(self, j: int, ctx):
         """The cycle context once edge j is added: a new one when j closes a
@@ -965,15 +957,7 @@ class _RandomClaimsCampaign:
         if cyc is None:
             return acc
         acc.hist[cyc.length] += 1
-        for v in acc.object_laws(h, cyc):
-            acc.violations.append({
-                "kind": v.kind,
-                "vertices": list(v.us),
-                "cycle": list(cyc.vertices),
-                "condition": v.condition,
-                "sample_index": i,
-                "instance": format_hg(h),
-            })
+        acc.object_laws(h, cyc, sample_index=i)
         return acc
 
 
@@ -982,7 +966,6 @@ def verify_claims(n: int, samples: int | None = None, seed: int | None = None,
     """Structural-law campaign: exhaustive when ``samples`` is None,
     otherwise over seeded random instances (capped at n <= 12; the seed
     defaults to DEFAULT_SEED).  A seed without samples is a ValueError."""
-    started = time.perf_counter()
     if samples is None:
         if seed is not None:
             raise ValueError("--seed needs --samples: the exhaustive walk takes no seed")
@@ -1011,5 +994,4 @@ def verify_claims(n: int, samples: int | None = None, seed: int | None = None,
         checked_triples=acc.triples,
         checked_pairs=acc.pairs,
         violations=violations,
-        runtime_seconds=round(time.perf_counter() - started, 6),
     )

@@ -425,59 +425,43 @@ def _cycle_kernel(adj: list[int], cover, emask: list[int], n: int,
 # ---------------------------------------------------------------------------
 
 def oracle_longest_path(h: LinearHypergraph, cap: int = ORACLE_CAP_N) -> int | None:
-    """Longest Berge path length by brute force; None only when n == 0.
+    """Longest Berge path length by brute force; None only when n == 0."""
+    return _oracle(h, cap, closed=False)
+
+
+def oracle_longest_cycle(h: LinearHypergraph, cap: int = ORACLE_CAP_N) -> int | None:
+    """Longest Berge cycle length by brute force; None when Berge-acyclic."""
+    return _oracle(h, cap, closed=True)
+
+
+def _oracle(h: LinearHypergraph, cap: int, closed: bool) -> int | None:
+    """Longest Berge path (``closed`` false) or cycle length by brute force.
 
     Enumerates injective vertex sequences along the shadow and checks, via
     bipartite matching, that the consecutive pairs admit distinct covering
     hyperedges.  Correct for non-linear inputs too.  A failed matching
     prunes all extensions, which is sound because a matching for a longer
-    sequence restricts to one for every prefix.
+    sequence restricts to one for every prefix.  A cycle's sequence starts
+    at its least vertex and is closed by the pair of its ends.
     """
     if h.n > cap:
         raise InstanceTooLargeError(f"oracle capped at n <= {cap}, got n = {h.n}")
-    if h.n == 0:
-        return None
-    pair_edges = _pair_edge_table(h)
-    best = 0
-
-    def grow(seq: list[int], pairs: list[tuple[int, int]]) -> None:
-        nonlocal best
-        if len(seq) - 1 > best:
-            best = len(seq) - 1
-        last = seq[-1]
-        for w in range(h.n):
-            if w in seq:
-                continue
-            p = (last, w) if last < w else (w, last)
-            if p not in pair_edges:
-                continue
-            pairs.append(p)
-            if _sdr(pair_edges, pairs):
-                seq.append(w)
-                grow(seq, pairs)
-                seq.pop()
-            pairs.pop()
-
-    for s in range(h.n):
-        grow([s], [])
-    return best
-
-
-def oracle_longest_cycle(h: LinearHypergraph, cap: int = ORACLE_CAP_N) -> int | None:
-    """Longest Berge cycle length by brute force; None when Berge-acyclic."""
-    if h.n > cap:
-        raise InstanceTooLargeError(f"oracle capped at n <= {cap}, got n = {h.n}")
-    pair_edges = _pair_edge_table(h)
-    best = 0
+    pair_edges: dict[tuple[int, int], list[int]] = {}
+    for idx, e in enumerate(h.edges):
+        for p in itertools.combinations(e, 2):
+            pair_edges.setdefault(p, []).append(idx)
+    best = -1
 
     def grow(seq: list[int], pairs: list[tuple[int, int]]) -> None:
         nonlocal best
         s, last = seq[0], seq[-1]
-        if len(seq) >= 3 and len(seq) > best:
-            p = (last, s) if s > last else (s, last)
+        if not closed:
+            best = max(best, len(seq) - 1)
+        elif len(seq) >= 3 and len(seq) > best:
+            p = (s, last)
             if p in pair_edges and _sdr(pair_edges, pairs + [p]):
                 best = len(seq)
-        for w in range(s + 1, h.n):
+        for w in range(s + 1 if closed else 0, h.n):
             if w in seq:
                 continue
             p = (last, w) if last < w else (w, last)
@@ -492,7 +476,7 @@ def oracle_longest_cycle(h: LinearHypergraph, cap: int = ORACLE_CAP_N) -> int | 
 
     for s in range(h.n):
         grow([s], [])
-    return best if best >= 3 else None
+    return best if best >= (3 if closed else 0) else None
 
 
 def _sdr(pair_edges: dict[tuple[int, int], list[int]],
@@ -513,10 +497,3 @@ def _sdr(pair_edges: dict[tuple[int, int], list[int]],
 
     return all(augment(i, set()) for i in range(len(pairs)))
 
-
-def _pair_edge_table(h: LinearHypergraph) -> dict[tuple[int, int], list[int]]:
-    table: dict[tuple[int, int], list[int]] = {}
-    for idx, e in enumerate(h.edges):
-        for p in itertools.combinations(e, 2):
-            table.setdefault(p, []).append(idx)
-    return table

@@ -122,21 +122,22 @@ def shift_mask(mask: int, offset: int, ell: int) -> int:
     return ((mask << offset) | (mask >> (ell - offset))) & full
 
 
-def claim_plus_hit(s_mask: int, l_mask: int, ell: int) -> int | None:
-    """Position p with v_p in (S∪L) ∩ S⁻, or None when the law holds."""
+def claim_plus_hit(s_mask: int, l_mask: int, ell: int) -> tuple[str, int] | None:
+    """(condition, p) for the first position p with v_p in (S∪L) ∩ S⁻, or
+    None when the law holds."""
     hit = (s_mask | l_mask) & shift_mask(s_mask, -1, ell)
     if not hit:
         return None
-    return (hit & -hit).bit_length() - 1
+    return "(S∪L) ∩ shift(S,-1) nonempty", (hit & -hit).bit_length() - 1
 
 
 def claim_pair_hit(si: int, li: int, sj: int, lj: int, ell: int,
-                   max_shift: int) -> tuple[int, str, int] | None:
+                   max_shift: int) -> tuple[str, int] | None:
     """First violated condition for an ordered vertex pair (u_i, u_j).
 
     ``max_shift`` 2 checks (S_i∪L_i) against (S_j∪L_j)⁻ and S_j⁻⁻;
     ``max_shift`` 3 additionally uses (S_j∪L_j)⁻⁻ and S_j⁻⁻⁻.
-    Returns (offset, right_set, position) or None.
+    Returns (condition, position) or None.
     """
     sli = si | li
     slj = sj | lj
@@ -147,7 +148,8 @@ def claim_pair_hit(si: int, li: int, sj: int, lj: int, ell: int,
     for offset, name, right in conds:
         hit = sli & shift_mask(right, -offset, ell)
         if hit:
-            return offset, name, (hit & -hit).bit_length() - 1
+            return (f"(S∪L) ∩ shift({name},-{offset}) nonempty",
+                    (hit & -hit).bit_length() - 1)
     return None
 
 
@@ -190,10 +192,10 @@ def check_claim_plus(h: LinearHypergraph, ctx: CycleContext, u: int) -> Violatio
     A hit at position p means u is joined to both v_p and v_{p+1} in a way
     that splices u between them, extending the cycle.
     """
-    s_mask, l_mask = _peripheral_masks(h, ctx, u)
-    p = claim_plus_hit(s_mask, l_mask, ctx.length)
-    if p is None:
+    hit = claim_plus_hit(*_peripheral_masks(h, ctx, u), ctx.length)
+    if hit is None:
         return None
+    condition, p = hit
     ell = ctx.length
     vs = ctx.cycle.vertices
     wit = []
@@ -207,7 +209,7 @@ def check_claim_plus(h: LinearHypergraph, ctx: CycleContext, u: int) -> Violatio
         kind="claim-plus",
         us=(u,),
         position=p,
-        condition="(S∪L) ∩ shift(S,-1) nonempty",
+        condition=condition,
         witnesses=tuple(wit),
     )
 
@@ -314,12 +316,12 @@ def _pair_law(h: LinearHypergraph, ctx: CycleContext, pairs: list, max_shift: in
     for ui, uj in pairs:
         hit = claim_pair_hit(*masks[ui], *masks[uj], ctx.length, max_shift)
         if hit is not None:
-            offset, name, p = hit
+            condition, p = hit
             return Violation(
                 kind=kind,
                 us=(ui, uj),
                 position=p,
-                condition=f"(S∪L) ∩ shift({name},-{offset}) nonempty",
+                condition=condition,
                 witnesses=witnesses,
             )
     return None

@@ -20,7 +20,7 @@ from berge.enumeration import (
     verify_theorem_shadow,
     verify_theorem_uniform,
 )
-from berge.solver import BergeCycle, has_berge_path, oracle_longest_cycle
+from berge.solver import BergeCycle, has_berge_path, longest_berge_cycle, oracle_longest_cycle
 
 
 def _brute_force_count(n, mixed):
@@ -408,6 +408,35 @@ def test_claims_s_l_matches_object_level():
     assert cyclic == 1 + 42 + 2008   # the cyclic instances at n = 3, 4, 5
 
 
+def test_claims_walk_states_the_object_level_conditions():
+    # at cycle length 3 the walk reports the known claim-triple false
+    # positives; each must carry the law text of the object-level checkers
+    h = validate(8, [(0, 1), (1, 2), (0, 2), (3, 4, 5), (3, 6, 7), (0, 4, 6)])
+    camp = _ClaimsCampaign(8)
+    cands = enumeration._candidates(8, "23")[0]
+    ctx = camp.walk.replay(tuple(cands.index(e) for e in h.edges), camp.advance, None)
+    acc = _ClaimsAcc(8)
+    camp._full_check(acc, ctx)
+    walk = {(v["kind"], v["condition"]) for v in acc.violations}
+    found = structure.check_laws(h, structure.CycleContext.from_cycle(h, longest_berge_cycle(h)))[0]
+    assert walk and walk <= {(v.kind, v.condition) for v in found}
+
+
+def test_claims_recheck_records_each_oriented_cycle(monkeypatch):
+    # with every object-level check failing, the n <= 5 re-check records
+    # one violation per longest cycle and orientation, each around its own
+    def one_violation(h, ctx):
+        return [structure.Violation("claim-plus", (0,), 0, "stub", ())], 0, 0, 0
+
+    monkeypatch.setattr(enumeration, "check_laws", one_violation)
+    cycles: dict[str, list] = {}
+    for v in verify_claims(4, jobs=1).violations:
+        cycles.setdefault(v["instance"], []).append(tuple(v["cycle"]))
+    assert len(cycles) == 42   # the cyclic instances at n = 4
+    for instance, cs in cycles.items():
+        assert len(set(cs)) == len(cs), instance
+
+
 def test_claims_random_small():
     r = verify_claims(9, samples=120, seed=5, jobs=1)
     assert r.holds and r.instances_checked == 120
@@ -428,8 +457,6 @@ def test_campaign_determinism_across_jobs():
     ):
         d1 = build(1).as_dict()
         d2 = build(2).as_dict()
-        d1.pop("runtime_seconds")
-        d2.pop("runtime_seconds")
         assert d1 == d2
 
 
@@ -462,8 +489,6 @@ def test_campaign_workers_capped_by_units(monkeypatch):
         d = verify_claims(n, jobs=jobs).as_dict()   # n = 3: no unit, n = 4: 13
         assert sizes == want
         serial = verify_claims(n, jobs=1).as_dict()
-        d.pop("runtime_seconds")
-        serial.pop("runtime_seconds")
         assert d == serial
 
 

@@ -101,6 +101,8 @@ def test_oracle_examples(fano, one_triple):
     assert oracle_longest_cycle(fano) == 7
     with pytest.raises(InstanceTooLargeError):
         oracle_longest_path(validate(8, []))
+    with pytest.raises(InstanceTooLargeError):
+        oracle_longest_cycle(validate(8, []))
 
 
 def test_oracle_handles_nonlinear_input():

@@ -18,6 +18,7 @@ from berge.structure import (
     check_claim_plus_plus,
     check_claim_triple,
     check_laws,
+    claim_plus_hit,
     off_cycle_triples,
     peripheral_sets,
     sharing_pairs,
@@ -119,6 +120,16 @@ def test_claim_plus_holds_on_longest_cycles():
             assert check_claim_plus(h, ctx, u) is None
             ps = peripheral_sets(h, ctx, u)
             assert len(ps.s) <= ctx.length // 2
+
+
+def test_claim_plus_implies_s_size_bound():
+    # |S| > floor(l/2) puts two cyclically adjacent positions p, p+1 in S,
+    # so p lies in (S∪L) ∩ S⁻: claim-plus already bounds |S|
+    for ell in range(3, 13):
+        for s_mask in range(1 << ell):
+            if s_mask.bit_count() > ell // 2:
+                for l_mask in (0, (1 << ell) - 1):
+                    assert claim_plus_hit(s_mask, l_mask, ell) is not None, (ell, s_mask)
 
 
 def test_claim_plus_negative_control():

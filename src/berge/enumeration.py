@@ -16,10 +16,11 @@ with the state its parent handed down, and returns the child's state or
   forbidden-path family is downward closed, so every path-free hypergraph
   is still reached): one arm search from each anchored seed a, b of
   ``_Walk.seeds``, which grows the arm at a and, at each of its nodes,
-  hands the edges still needed to the arm at b.  Supersets inherit the
-  path, so each node tests its live candidates once, before visiting any
-  child, and hands the ones that failed down as a ``dead`` mask: a search
-  runs once per branch, not once per instance below it;
+  hands the edges still needed to the arm at b once a's own extensions
+  fail.  Supersets inherit the path, so each node tests its live
+  candidates once, before visiting any child, without adding them, after
+  one degree check per node; the ones that failed go down as a ``dead``
+  mask: a search runs once per branch, not once per instance below it;
 * the structural-law campaign carries a longest Berge cycle, searching
   only for cycles through the new edge (any strictly longer cycle must use
   it); an inherited cycle context is re-checked only at the new edge's
@@ -281,29 +282,17 @@ class _Walk:
 # ---------------------------------------------------------------------------
 
 def _creates_path(w: _Walk, j: int, k: int) -> bool:
-    """Does the hypergraph gain a Berge path of length >= k when edge j
-    (already added) is present?  Only paths through j can be new."""
+    """Does edge j, compatible with the current instance but not added to
+    it, give it a Berge path of length >= k?  Only paths through j can be
+    new, and no arm meets j's pairs: each seed pair starts visited, and j's
+    third vertex is reachable only through j."""
     n = w.n
     adj, cover = w.adj, w.cover
-    # quick degree feasibility: k+1 vertices touched, k-1 of them internal
-    d1 = d2 = 0
-    for v in range(n):
-        av = adj[v]
-        if av:
-            d1 += 1
-            if av & (av - 1):
-                d2 += 1
-    if d1 < k + 1 or d2 < k - 1:
-        return False
 
-    def arm(wv: int, cprev: int, vis: int, need: int, slots: int, b: int) -> bool:
-        # grow the arm at wv; while b >= 0 this is the arm at a, which first
-        # hands what is still needed to the arm at b (passed on with b = -1)
+    def arm(wv: int, cprev: int, vis: int, need: int, b: int) -> bool:
+        # grow the arm at wv; the arm at a (b >= 0) hands what is still needed
+        # to the arm at b (passed on with b = -1) once its own extensions fail
         if need <= 0:
-            return True
-        if need > slots:
-            return False
-        if b >= 0 and arm(b, j, vis, need, slots, -1):
             return True
         m = adj[wv] & ~vis
         while m:
@@ -311,12 +300,12 @@ def _creates_path(w: _Walk, j: int, k: int) -> bool:
             x = low.bit_length() - 1
             m ^= low
             c = cover[wv * n + x]
-            if c != cprev and arm(x, c, vis | low, need - 1, slots - 1, b):
+            if c != cprev and arm(x, c, vis | low, need - 1, b):
                 return True
-        return False
+        return b >= 0 and arm(b, j, vis, need, -1)
 
     for a, b, _j, pair in w.seeds[j]:
-        if arm(a, j, pair, k - 1, n - 2, b):
+        if arm(a, j, pair, k - 1, b):
             return True
     return False
 
@@ -581,21 +570,32 @@ class _BoundCampaign:
     def path_hits(self, cands: int) -> int:
         """The walk's prune test: the candidates of the mask ``cands`` whose
         edge gives the current instance a Berge path of length k.  Such a
-        path has k edges and k + 1 vertices, so none is found below k - 1
-        edges or on n <= k vertices."""
+        path has k edges and k + 1 vertices, k - 1 of them in two of its
+        edges, so none is found below k - 1 edges, on n <= k vertices, or
+        with too few vertices in one edge or in two once the edge is in."""
         w = self.walk
-        k = self.k
-        if len(w.stack) + 1 < k or w.n <= k:
+        k, n = self.k, w.n
+        if len(w.stack) + 1 < k or n <= k:
             return 0
+        adj, cover, vmask = w.adj, w.cover, w.vmask
+        # inner: in two edges, so adj has a bit outside its lowest pair's edge
+        touched = inner = 0
+        for v in range(n):
+            av = adj[v]
+            if av:
+                touched |= 1 << v
+                if av & ~vmask[cover[v * n + (av & -av).bit_length() - 1]]:
+                    inner |= 1 << v
         hits = 0
         while cands:
             low = cands & -cands
             cands ^= low
             j = low.bit_length() - 1
-            w.add(j)
-            if _creates_path(w, j, k):
+            c = vmask[j]
+            if ((touched | c).bit_count() > k
+                    and (inner | c & touched).bit_count() >= k - 1
+                    and _creates_path(w, j, k)):
                 hits |= low
-            w.remove(j)
         return hits
 
     def step(self, acc: _BoundAcc, j: int, sh: int) -> int:

@@ -193,7 +193,9 @@ def test_theorem_shadow_small():
 @pytest.mark.parametrize("n,uniformity,k",
                          [(5, "23", k) for k in range(1, 6)]
                          + [(6, "3", k) for k in range(1, 7)]
-                         + [(6, "23", 4), (6, "23", 5)])
+                         + [(6, "23", 4), (6, "23", 5)]
+                         + [(7, "3", k) for k in range(4, 7)]
+                         + [(8, "3", 7)])
 def test_bound_prune_against_brute_force(n, uniformity, k):
     # the walk's anchored path test against the exact solver on every
     # labeled instance; the path-free family is closed under subsets, so
@@ -224,6 +226,44 @@ def test_bound_prune_against_brute_force(n, uniformity, k):
         assert r.extremal_witnesses == at_max
         if uniformity == "3":
             assert r.max_hyperedges == max_edges
+
+
+@pytest.mark.parametrize("n,uniformity", [(6, "23"), (7, "23"), (8, "3")])
+@pytest.mark.parametrize("k", range(3, 8))
+def test_path_hits_contract(n, uniformity, k):
+    # at path-free walk nodes grown by seeded random live candidates (one
+    # of the first three, so the prefixes reach k - 1 edges), the prune
+    # test returns exactly the live candidates whose edge gives the
+    # instance a Berge path of length k, and leaves the walk as it was
+    camp = _BoundCampaign(n, k, uniformity, 1, n * n, False)
+    w = camp.walk
+    cands = w.cands
+    rng = random.Random(f"path-hits:{n}:{uniformity}:{k}")
+    found = 0
+    for _ in range(8):
+        w.reset()
+        while True:
+            live = w.live()
+            base = list(w.stack)
+            adj = list(w.adj)
+            covered = {(u, v): w.cover[u * n + v]
+                       for u in range(n) for v in range(n) if adj[u] >> v & 1}
+            hits = camp.path_hits(live)
+            assert (w.adj, w.stack) == (adj, base)
+            assert {p: w.cover[p[0] * n + p[1]] for p in covered} == covered
+            want = 0
+            for j in range(len(cands)):
+                if live >> j & 1:
+                    h = validate(n, [cands[i] for i in base + [j]])
+                    if has_berge_path(h, k):
+                        want |= 1 << j
+            assert hits == want, base
+            found |= hits
+            free = [j for j in range(len(cands)) if (live & ~hits) >> j & 1]
+            if not free:
+                break
+            w.add(rng.choice(free[:3]))
+    assert bool(found) == (k < n)
 
 
 @pytest.mark.parametrize("args,count,value,bound,instance", [

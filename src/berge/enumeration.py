@@ -355,13 +355,20 @@ def enumerate_hypergraphs(n: int, uniformity: str = "23", visitor=None) -> int:
 def random_linear(n: int, rng: random.Random, uniformity: str = "23") -> LinearHypergraph:
     """Seeded random linear hypergraph: draw a target number of insertion
     attempts uniformly, then insert uniform random candidate edges,
-    rejecting any that break linearity."""
+    rejecting any that break linearity.  Each candidate index is drawn as
+    ``rng.randrange(count)`` draws it (``count.bit_length()`` random bits,
+    redrawn while out of range), so the stream is that of ``randrange``
+    without its per-call overhead."""
     cands, bits = _candidates(n, uniformity)
     count = len(cands)
+    k = count.bit_length()
+    getrandbits = rng.getrandbits
     covered = 0
     chosen = []
     for _ in range(rng.randint(0, count)):
-        i = rng.randrange(count)
+        i = getrandbits(k)
+        while i >= count:
+            i = getrandbits(k)
         if not covered & bits[i]:
             covered |= bits[i]
             chosen.append(i)

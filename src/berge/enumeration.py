@@ -23,8 +23,15 @@ with the state its parent handed down, and returns the child's state or
   mask: a search runs once per branch, not once per instance below it;
 * the structural-law campaign carries a longest Berge cycle, searching
   only for cycles through the new edge (any strictly longer cycle must use
-  it); an inherited cycle context is re-checked only at the new edge's
-  vertices, a new one everywhere.
+  it) and no longer than the number of vertices in two edges; an
+  inherited cycle context is re-checked only at the new edge's vertices,
+  a new one everywhere, and a Hamiltonian one has no off-cycle vertex, so
+  it is built without its L(u) tables.
+
+The walk keeps its degree state as it goes: ``add`` pushes the masks of
+the vertices in at least one edge and in at least two, ``remove`` pops
+them.  Both the bound prune's degree check and the cycle search's length
+bound read them instead of scanning the vertices.
 
 Every campaign runs through one driver (``_run_campaign``): ``run_top``
 does the work above a fixed DFS prefix depth and returns the work units
@@ -153,14 +160,19 @@ _PRUNE = object()   # a step's verdict: do not extend this instance
 
 
 class _Walk:
-    """Mutable DFS state (edge stack, shadow adjacency, pair coverage) and
-    the one labeled DFS that every exhaustive walk runs on it.  ``cover`` is
-    stale off the pairs ``adj`` shows as covered, each in one edge by
-    linearity; the edges through u are those of the stack that hold u."""
+    """Mutable DFS state (edge stack, shadow adjacency, pair coverage,
+    vertex degrees) and the one labeled DFS that every exhaustive walk runs
+    on it.  ``cover`` is stale off the pairs ``adj`` shows as covered, each
+    in one edge by linearity; the edges through u are those of the stack
+    that hold u.  ``degs`` holds, per depth, the vertex masks (in at least
+    one edge, in at least two edges), so ``degs[-1]`` is the current
+    instance's: ``_cycle_through`` bounds its search by the second (every
+    vertex of a Berge cycle lies in two of its edges), and the bound prune
+    reads both for its degree check."""
 
     __slots__ = ("n", "cands", "after", "pairs", "vmask",
                  "adjbits", "is3", "shcount", "cover", "adj",
-                 "stack", "seeds")
+                 "stack", "degs", "seeds")
 
     def __init__(self, n: int, uniformity: str):
         self.n = n
@@ -193,6 +205,7 @@ class _Walk:
     def reset(self):
         self.adj = [0] * self.n
         self.stack = []
+        self.degs = [(0, 0)]
 
     def live(self) -> int:
         """The candidates that extend the current instance: after its last
@@ -262,9 +275,13 @@ class _Walk:
         for v, bits in self.adjbits[j]:
             self.adj[v] |= bits
         self.stack.append(j)
+        one, two = self.degs[-1]
+        vm = self.vmask[j]
+        self.degs.append((one | vm, two | one & vm))
 
     def remove(self, j: int):
         self.stack.pop()
+        self.degs.pop()
         for v, bits in self.adjbits[j]:
             # linearity: no other edge covers these pairs, so plain XOR
             self.adj[v] ^= bits
@@ -312,9 +329,14 @@ def _creates_path(w: _Walk, j: int, k: int) -> bool:
 
 def _cycle_through(w: _Walk, j: int, lower: int):
     """Longest Berge cycle strictly longer than ``lower`` using edge j,
-    as (vertex tuple, cover-index tuple), or None."""
-    ub = min(w.n, len(w.stack))
-    if ub <= lower:
+    as (vertex tuple, cover-index tuple), or None.  Every cycle vertex lies
+    in two of the cycle's edges, so the cycle is no longer than the number
+    of vertices in two edges, and j closes none unless two of its own
+    vertices are among them; the kernel stops at the first cycle of that
+    length, which is then the longest."""
+    two = w.degs[-1][1]
+    ub = min(two.bit_count(), len(w.stack))
+    if ub <= lower or (two & w.vmask[j]).bit_count() < 2:
         return None
     hits = _cycle_kernel(w.adj, w.cover, w.vmask, w.n, w.seeds[j], lower, ub)
     return hits[0] if hits else None
@@ -584,15 +606,8 @@ class _BoundCampaign:
         k, n = self.k, w.n
         if len(w.stack) + 1 < k or n <= k:
             return 0
-        adj, cover, vmask = w.adj, w.cover, w.vmask
-        # inner: in two edges, so adj has a bit outside its lowest pair's edge
-        touched = inner = 0
-        for v in range(n):
-            av = adj[v]
-            if av:
-                touched |= 1 << v
-                if av & ~vmask[cover[v * n + (av & -av).bit_length() - 1]]:
-                    inner |= 1 << v
+        vmask = w.vmask
+        touched, inner = w.degs[-1]   # in one edge, in two
         hits = 0
         while cands:
             low = cands & -cands
@@ -794,6 +809,8 @@ class _ClaimsCampaign:
     def make_ctx(self, cyc, covs):
         w = self.walk
         ell = len(cyc)
+        if ell == self.n:   # no vertex is off the cycle, so nothing reads L(u)
+            return (ell, cyc, None, None, (1 << ell) - 1)
         pos = [-1] * self.n
         lmask = [0] * self.n
         cmask = 0

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import os
 import random
+import types
 
 import pytest
 
@@ -20,7 +21,13 @@ from berge.enumeration import (
     verify_theorem_shadow,
     verify_theorem_uniform,
 )
-from berge.solver import BergeCycle, has_berge_path, longest_berge_cycle, oracle_longest_cycle
+from berge.solver import (
+    BergeCycle,
+    _cycle_kernel,
+    has_berge_path,
+    longest_berge_cycle,
+    oracle_longest_cycle,
+)
 
 
 def _brute_force_count(n, mixed):
@@ -179,6 +186,26 @@ def test_theorem_uniform_small():
     assert r.holds and r.max_hyperedges == 1
 
 
+# the linear Turán numbers of the Berge path: the most triples in a linear
+# 3-uniform instance on n vertices with no Berge path of length k
+EXACT_EDGE_MAXIMA = {
+    (4, 4): 1,
+    (5, 4): 2, (5, 5): 2,
+    (6, 4): 3, (6, 5): 4, (6, 6): 4,
+    (7, 4): 3, (7, 5): 4, (7, 6): 5, (7, 7): 7,
+    (8, 4): 3, (8, 5): 4, (8, 6): 5, (8, 7): 7, (8, 8): 8,
+}
+
+
+def test_theorem_uniform_exact_maxima():
+    # (7, 7) is the Fano plane, at its bound; (8, 8) falls short of
+    # floor(7 * 8 / 6) = 9
+    for (n, k), edges in EXACT_EDGE_MAXIMA.items():
+        r = verify_theorem_uniform(n, k, jobs=1)
+        assert r.holds and r.max_hyperedges == edges, (n, k)
+        assert 6 * edges <= (k - 1) * n
+
+
 def test_theorem_shadow_small():
     r = verify_theorem_shadow(4, 4, jobs=1)
     assert r.holds and r.max_shadow_edges == 6
@@ -248,6 +275,7 @@ def test_path_hits_contract(n, uniformity, k):
             adj = list(w.adj)
             covered = {(u, v): w.cover[u * n + v]
                        for u in range(n) for v in range(n) if adj[u] >> v & 1}
+            assert w.degs[-1] == _degrees(w)
             hits = camp.path_hits(live)
             assert (w.adj, w.stack) == (adj, base)
             assert {p: w.cover[p[0] * n + p[1]] for p in covered} == covered
@@ -264,6 +292,100 @@ def test_path_hits_contract(n, uniformity, k):
                 break
             w.add(rng.choice(free[:3]))
     assert bool(found) == (k < n)
+
+
+def _degrees(w):
+    """The vertices in at least one and in at least two edges of the walk's
+    instance, recounted from its stack."""
+    count = [0] * w.n
+    for j in w.stack:
+        for v in w.cands[j]:
+            count[v] += 1
+    return (sum(1 << v for v, c in enumerate(count) if c >= 1),
+            sum(1 << v for v, c in enumerate(count) if c >= 2))
+
+
+@pytest.mark.parametrize("n,uniformity", [(5, "23"), (6, "3")])
+def test_walk_degree_state_matches_recount(n, uniformity):
+    # at every node of an unpruned walk, and at the root once it is done
+    w = enumeration._Walk(n, uniformity)
+
+    def step(acc, j, state):
+        assert len(w.degs) == len(w.stack) + 1
+        assert w.degs[-1] == _degrees(w), w.stack
+        acc.nodes += 1
+
+    acc = types.SimpleNamespace(visited=1, nodes=0)
+    w.descend(acc, step, w.live(), None, None, None)
+    assert acc.nodes + 1 == acc.visited == enumerate_hypergraphs(n, uniformity)
+    assert w.degs == [(0, 0)]
+
+
+def test_degree_state_after_claims_unit_replay():
+    # replay rebuilds the degree state of every claims n = 6 work unit,
+    # and the cycle searches along the replay read it at each depth
+    camp = _ClaimsCampaign(6)
+    w = camp.walk
+    _acc, units = camp.run_top(enumeration._SPLIT_DEPTH)
+    assert len(units) == 2229
+
+    def advance(j, ctx):
+        assert w.degs[-1] == _degrees(w)
+        return camp.advance(j, ctx)
+
+    for prefix, _dead in units:
+        w.replay(prefix, advance, None)
+        assert len(w.degs) == len(prefix) + 1 and w.degs[-1] == _degrees(w)
+
+
+def _cycle_through_unbounded(w, j, lower):
+    # the anchored cycle search as it ran before the degree bound: no
+    # longer than n or the edge count
+    ub = min(w.n, len(w.stack))
+    if ub <= lower:
+        return None
+    hits = _cycle_kernel(w.adj, w.cover, w.vmask, w.n, w.seeds[j], lower, ub)
+    return hits[0] if hits else None
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_cycle_through_bound_is_exact(n):
+    # on every labeled instance, for each edge just added and each lower
+    # length the old bound allowed, the same cycle (vertices and covers)
+    w = enumeration._Walk(n, "23")
+
+    def step(acc, j, state):
+        for lower in range(2, min(n, len(w.stack))):
+            want = _cycle_through_unbounded(w, j, lower)
+            assert enumeration._cycle_through(w, j, lower) == want, (w.stack, lower)
+            acc.found += want is not None
+        acc.tighter += w.degs[-1][1].bit_count() < min(n, len(w.stack))
+
+    acc = types.SimpleNamespace(visited=0, found=0, tighter=0)
+    w.descend(acc, step, w.live(), None, None, None)
+    assert acc.tighter and acc.found
+
+
+def test_cycle_through_bound_is_exact_along_claims_walk(monkeypatch):
+    # every anchored cycle search of the claims n = 6 walk, with the lower
+    # lengths the walk passes it, returns the cycle of the old bound
+    camp = _ClaimsCampaign(6)
+    w = camp.walk
+    through = enumeration._cycle_through
+    found = []
+
+    def checked(w, j, lower):
+        got = through(w, j, lower)
+        assert got == _cycle_through_unbounded(w, j, lower), (w.stack, lower)
+        found.append(got is not None)
+        return got
+
+    monkeypatch.setattr(enumeration, "_cycle_through", checked)
+    w.reset()
+    acc = types.SimpleNamespace(visited=1)
+    w.descend(acc, lambda acc, j, ctx: camp.advance(j, ctx), w.live(), None, None, None)
+    assert len(found) == acc.visited - 1 == 173807
+    assert any(found)
 
 
 @pytest.mark.parametrize("args,count,value,bound,instance", [

@@ -30,6 +30,7 @@ VERIFY = [
     "verify remark --n 5 --k 3",
     "verify remark --n 6 --k 2",
     "verify claims --n 5",
+    "verify claims --n 6",
     "verify claims --n 9 --samples 60 --seed 11",
     "verify claims --n 12 --samples 250 --seed 1736",   # exits 1
 ]
@@ -62,6 +63,7 @@ GOLDEN = {
     'verify remark --n 5 --k 3': 'cfc38ed51697663d2c39bcd4f81541d230ef03b08332c45b183bb4f8944e7351',
     'verify remark --n 6 --k 2': '8cc482410e68188b2c7bdf0f1293454946168d2c4ead47c1b21831f1477d8fa7',
     'verify claims --n 5': '799312ea683eaacdf91cfabcc66c44f810fea13f6e04fdccb8f48b06f96d8386',
+    'verify claims --n 6': '83148c5bd2b390408bb500044b6df1ba9e338412e2e6c647488877f7e22c50bd',
     'verify claims --n 9 --samples 60 --seed 11': 'ffc033b26c149926d21c37387d768745e0844318339f721c32a06dbc3a327c7b',
     'verify claims --n 12 --samples 250 --seed 1736': '5426bcc2e7a9f74d657106841b6f6465011c67876114f8bdba7a2fc4c4801712',
     'solve longest-path fano': 'b593580c59b7fedae2ff61c7a22eb930805caffd77fc5e68fe3c748bd5be8cd6',

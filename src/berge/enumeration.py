@@ -171,7 +171,7 @@ class _Walk:
     reads both for its degree check."""
 
     __slots__ = ("n", "cands", "after", "pairs", "vmask",
-                 "adjbits", "is3", "shcount", "cover", "adj",
+                 "adjbits", "shcount", "cover", "adj",
                  "stack", "degs", "seeds")
 
     def __init__(self, n: int, uniformity: str):
@@ -181,7 +181,6 @@ class _Walk:
         self.pairs = []   # packed pair keys, both vertex orders, for cover[]
         self.vmask = []
         self.adjbits = []
-        self.is3 = []
         self.shcount = []
         self.seeds = []   # per edge: its anchored cycle-search seeds
         for j, e in enumerate(self.cands):
@@ -195,7 +194,6 @@ class _Walk:
                 msk |= 1 << v
             self.vmask.append(msk)
             self.adjbits.append(tuple((v, msk ^ (1 << v)) for v in e))
-            self.is3.append(len(e) == 3)
             self.shcount.append(len(ps) // 2)
             self.seeds.append(tuple((a, b, j, (1 << a) | (1 << b))
                                     for a, b in itertools.combinations(e, 2)))
@@ -643,9 +641,6 @@ class _BoundCampaign:
                 "instance": self.walk.payload(),
             })
 
-    def new_acc(self) -> _BoundAcc:
-        return _BoundAcc(self.cap)
-
     # -- drivers --
     def run_prefix(self, unit: tuple) -> _BoundAcc:
         """Walk the subtree strictly below a unit's prefix, with the
@@ -653,7 +648,7 @@ class _BoundCampaign:
         prefix, dead = unit
         w = self.walk
         sh = w.replay(prefix, lambda j, sh: sh + w.shcount[j], 0)
-        acc = self.new_acc()
+        acc = _BoundAcc(self.cap)
         w.descend(acc, self.step, w.live(), sh, None, None, self.path_hits, dead)
         return acc
 
@@ -661,7 +656,7 @@ class _BoundCampaign:
         """Walk depth <= depth_cap, collecting free depth-cap prefixes."""
         w = self.walk
         w.reset()
-        acc = self.new_acc()
+        acc = _BoundAcc(self.cap)
         units: list[tuple] = []
         acc.visited += 1
         self.visit_free(acc, 0)   # the edgeless hypergraph
@@ -835,20 +830,18 @@ class _ClaimsCampaign:
             x ^= low
         return s_mask & ~(l_mask | l_mask << 1 | l_mask >> (ell - 1)), l_mask
 
-    def _check_vertex(self, acc: _ClaimsAcc, ctx, u: int) -> tuple[int, int]:
-        s_mask, l_mask = self._s_l(ctx, u)
-        acc.vertices += 1
-        hit = claim_plus_hit(s_mask, l_mask, ctx[0])
-        if hit is not None:
-            acc.record("claim-plus", (u,), ctx[1], hit[0], self.walk.payload())
-        return s_mask, l_mask
-
     def _check_triple(self, acc: _ClaimsAcc, ctx, ei: int):
+        """The pair laws at the off-cycle triple ei.  Claim-plus is not
+        re-checked at its vertices: on a longest cycle it cannot fire (a hit
+        at p puts p and p + 1 in S, so u splices in between them)."""
         w = self.walk
         cmask = ctx[4]
         ell = ctx[0]
         ev = w.cands[ei]
-        sl = [self._check_vertex(acc, ctx, u) for u in ev]
+        sl = [self._s_l(ctx, u) for u in ev]
+        # the triple's vertices are counted again after _check_mask counted
+        # them; checked_vertices keeps that count until a schema_version bump
+        acc.vertices += 3
         acc.triples += 1
         for i in range(3):
             si, li = sl[i]
@@ -861,7 +854,7 @@ class _ClaimsCampaign:
             left = [(v, s) for v, s in zip(ev, sl) if v != u]
             for fj in w.stack:
                 fm = w.vmask[fj]
-                if fj == ei or not (fm >> u) & 1 or not w.is3[fj] or fm & cmask:
+                if fj == ei or not (fm >> u) & 1 or w.shcount[fj] != 3 or fm & cmask:
                     continue
                 right = [(v, self._s_l(ctx, v)) for v in w.cands[fj] if v != u]
                 for xs, ys in ((left, right), (right, left)):
@@ -873,8 +866,8 @@ class _ClaimsCampaign:
                                            w.payload())
 
     def _check_mask(self, acc: _ClaimsAcc, ctx, rest: int):
-        """Check each off-cycle vertex of the vertex mask ``rest`` and, once
-        each, the off-cycle triples at them."""
+        """Check claim-plus at each off-cycle vertex of the vertex mask
+        ``rest`` and, once each, the off-cycle triples at them."""
         w = self.walk
         cmask = ctx[4]
         rest &= ~cmask
@@ -883,10 +876,14 @@ class _ClaimsCampaign:
             low = rest & -rest
             u = low.bit_length() - 1
             rest ^= low
-            self._check_vertex(acc, ctx, u)
+            acc.vertices += 1
+            s_mask, l_mask = self._s_l(ctx, u)
+            hit = claim_plus_hit(s_mask, l_mask, ctx[0])
+            if hit is not None:
+                acc.record("claim-plus", (u,), ctx[1], hit[0], w.payload())
             for ei in w.stack:
                 em = w.vmask[ei]
-                if em & low and w.is3[ei] and not em & cmask and not (done >> ei) & 1:
+                if em & low and w.shcount[ei] == 3 and not em & cmask and not (done >> ei) & 1:
                     done |= 1 << ei
                     self._check_triple(acc, ctx, ei)
 

@@ -70,9 +70,6 @@ class CycleContext:
     def position(self) -> dict[int, int]:
         return {v: i for i, v in enumerate(self.cycle.vertices)}
 
-    def on_cycle(self, v: int) -> bool:
-        return v in self.position
-
 
 @dataclass(frozen=True)
 class PeripheralSets:
@@ -196,21 +193,15 @@ def check_claim_plus(h: LinearHypergraph, ctx: CycleContext, u: int) -> Violatio
     if hit is None:
         return None
     condition, p = hit
-    ell = ctx.length
+    # p and p + 1 both lie in S (p in L would put u and v_{p+1} in the
+    # defining h_p), so each witness is the one edge through its pair
     vs = ctx.cycle.vertices
-    wit = []
-    left = _incidence_witness(h, ctx, u, vs[p])
-    if left is not None:
-        wit.append(left)
-    right = _incidence_witness(h, ctx, u, vs[(p + 1) % ell], non_defining_only=True)
-    if right is not None:
-        wit.append(right)
     return Violation(
         kind="claim-plus",
         us=(u,),
         position=p,
         condition=condition,
-        witnesses=tuple(wit),
+        witnesses=tuple(_edge_through(h, u, vs[q % ctx.length]) for q in (p, p + 1)),
     )
 
 
@@ -269,7 +260,7 @@ def check_laws(h: LinearHypergraph, ctx: CycleContext) -> tuple[list[Violation],
 def off_cycle_triples(h: LinearHypergraph, ctx: CycleContext) -> list[Edge]:
     """Size-3 hyperedges with no vertex on the cycle."""
     return [e for e in h.edges
-            if len(e) == 3 and not any(ctx.on_cycle(v) for v in e)]
+            if len(e) == 3 and not any(v in ctx.position for v in e)]
 
 
 def sharing_pairs(triples) -> list[tuple[Edge, Edge]]:
@@ -288,7 +279,7 @@ def sharing_pairs(triples) -> list[tuple[Edge, Edge]]:
 def _peripheral_masks(h: LinearHypergraph, ctx: CycleContext, u: int) -> tuple[int, int]:
     if not 0 <= u < h.n:
         raise VertexOutOfRangeError(f"vertex {u} out of range [0, {h.n})")
-    if ctx.on_cycle(u):
+    if u in ctx.position:
         raise VertexOnCycleError(f"vertex {u} is a defining vertex of the cycle")
     pos = ctx.position
     defining = set(ctx.cycle.hyperedges)
@@ -333,7 +324,7 @@ def _checked_off_cycle_triple(h: LinearHypergraph, ctx: CycleContext, e) -> Edge
         raise ValueError(f"{tuple(e)!r} is not a hyperedge of this hypergraph")
     if len(ev) != 3:
         raise BadSharingPatternError(f"{ev} is not a size-3 hyperedge")
-    touching = [v for v in ev if ctx.on_cycle(v)]
+    touching = [v for v in ev if v in ctx.position]
     if touching:
         raise TripleTouchesCycleError(
             f"hyperedge {ev} meets the cycle at {touching}"
@@ -341,17 +332,9 @@ def _checked_off_cycle_triple(h: LinearHypergraph, ctx: CycleContext, e) -> Edge
     return ev
 
 
-def _incidence_witness(h: LinearHypergraph, ctx: CycleContext, u: int, v: int,
-                       non_defining_only: bool = False) -> Edge | None:
-    """Some hyperedge certifying u's adjacency to cycle vertex v."""
-    defining = set(ctx.cycle.hyperedges)
-    for e in h.edges:
-        if u in e and v in e:
-            if e not in defining:
-                return e
-            if not non_defining_only:
-                return e
-    return None
+def _edge_through(h: LinearHypergraph, u: int, v: int) -> Edge:
+    """The one hyperedge holding both u and v, which the caller knows exists."""
+    return next(e for e in h.edges if u in e and v in e)
 
 
 def _bits(mask: int):

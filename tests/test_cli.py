@@ -186,12 +186,15 @@ def test_report_reader_rejects_unknown_fields():
     with pytest.raises(FormatError):
         read_report(json.dumps({"schema_version": "1", "command": {},
                                 "result": {}, "timing": {}, "extra": 1}))
+    with pytest.raises(FormatError):
+        read_report("[]")
 
 
 def test_usage_error_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+    for argv in (["frobnicate"], ["verify", "claims", "--n", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [

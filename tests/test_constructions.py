@@ -16,6 +16,7 @@ from berge.constructions import (
     fano,
     matching_k2,
     star_k3,
+    steiner_triple_system,
     sts_bose,
     sts_skolem,
     two_edge_clique,
@@ -58,6 +59,8 @@ def test_sts_residue_errors():
         sts_bose(8)
     with pytest.raises(BadResidueError):
         sts_skolem(9)
+    with pytest.raises(BadResidueError):
+        steiner_triple_system(5)
 
 
 def test_disjoint_sts_certificate():
@@ -69,6 +72,8 @@ def test_disjoint_sts_certificate():
         assert not has_berge_path(h, 7)
     h = extremal_disjoint_sts(3, 3)
     assert h == matching_k2(9)
+    with pytest.raises(BadResidueError):
+        extremal_disjoint_sts(7, 0)
 
 
 def test_star_certificate():
@@ -98,6 +103,8 @@ def test_two_edge_clique():
     assert 2 * shadow(h).edge_count == (4 - 1) * 4
     assert two_edge_clique(2).m == 1
     assert has_berge_path(two_edge_clique(5), 4)
+    with pytest.raises(BadResidueError):
+        two_edge_clique(0)
 
 
 def test_all_generators_validate():

@@ -599,6 +599,22 @@ def test_claims_recheck_records_each_oriented_cycle(monkeypatch):
         assert len(set(cs)) == len(cs), instance
 
 
+@pytest.mark.parametrize("name,stub,condition", [
+    ("_cycle_through", lambda w, j, lower: None,
+     "incremental context missing but a cycle exists"),
+    ("all_longest_berge_cycles", lambda h: [],
+     "incremental cycle length disagrees with solver"),
+], ids=["no-context", "no-solver-cycle"])
+def test_claims_recheck_reports_solver_mismatch(monkeypatch, name, stub, condition):
+    # the n <= 5 re-check flags each cyclic instance where the walk's
+    # context and the solver disagree, here forced on one side
+    monkeypatch.setattr(enumeration, name, stub)
+    r = verify_claims(4, jobs=1)
+    assert len(r.violations) == 42   # the cyclic instances at n = 4
+    assert {(v["kind"], v["condition"]) for v in r.violations} == {
+        ("solver-mismatch", condition)}
+
+
 def test_claims_random_small():
     r = verify_claims(9, samples=120, seed=5, jobs=1)
     assert r.holds and r.instances_checked == 120

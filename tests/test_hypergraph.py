@@ -58,6 +58,8 @@ def test_validate_edge_order_irrelevant():
 
 def test_empty_and_edgeless_are_legal():
     assert validate(0, []).n == 0
+    with pytest.raises(VertexOutOfRangeError):
+        validate(-1, [])
     assert validate(5, []).m == 0
 
 
@@ -96,6 +98,10 @@ def test_degrees(fano, one_triple):
     assert shadow_degree(one_triple, 0) == 2
     h = validate(4, [(0, 1, 2)])
     assert degree(h, 3) == 0 and shadow_degree(h, 3) == 0
+    with pytest.raises(VertexOutOfRangeError):
+        degree(h, 4)
+    with pytest.raises(VertexOutOfRangeError):
+        shadow_degree(h, -1)
 
 
 def test_shadow_degree_sum_is_twice_shadow():

@@ -7,6 +7,7 @@ from berge import (
     BergeCycle,
     TripleTouchesCycleError,
     VertexOnCycleError,
+    VertexOutOfRangeError,
     longest_berge_cycle,
     oracle_longest_cycle,
     validate,
@@ -25,6 +26,7 @@ from berge.structure import (
     shift,
     shift_mask,
 )
+from test_solver import _all_cycles
 
 
 def _ctx_of(h):
@@ -36,6 +38,10 @@ def test_shift_basics():
     assert shift({0}, 1, 5) == frozenset({1})
     assert shift({0}, -1, 5) == frozenset({4})
     assert shift({2, 3}, 0, 6) == frozenset({2, 3})
+    with pytest.raises(ValueError):
+        shift({0}, 1, 0)
+    with pytest.raises(ValueError):
+        shift({3}, 1, 3)
 
 
 def test_shift_is_bijective():
@@ -91,6 +97,11 @@ def test_peripheral_sets_rejects_cycle_vertex(triangle):
     ctx = _ctx_of(triangle)
     with pytest.raises(VertexOnCycleError):
         peripheral_sets(triangle, ctx, 0)
+    with pytest.raises(VertexOutOfRangeError):
+        peripheral_sets(triangle, ctx, triangle.n)
+    with pytest.raises(ValueError):
+        CycleContext.from_cycle(
+            triangle, BergeCycle(vertices=(0, 1, 2), hyperedges=((0, 1), (0, 2), (1, 2))))
 
 
 def test_l_shift_is_r_on_random_instances():
@@ -141,7 +152,28 @@ def test_claim_plus_negative_control():
     v = check_claim_plus(h, fake, 3)
     assert v is not None and v.kind == "claim-plus"
     assert v.us == (3,)
-    assert len(v.witnesses) == 2
+    assert v.witnesses == ((0, 3), (1, 3))
+
+
+def test_claim_plus_witnesses_are_the_edges_through_the_hit_pairs():
+    # on every Berge cycle, longest or not, a claim-plus hit at p is
+    # witnessed by the non-defining edges through {u, v_p} and {u, v_{p+1}}
+    hits = 0
+    for i in range(300):
+        h = random_linear(6, random.Random(f"wit:{i}"))
+        for vs, es in _all_cycles(h):
+            ctx = CycleContext.from_cycle(h, BergeCycle(vertices=vs, hyperedges=es))
+            for u in set(range(h.n)) - set(vs):
+                v = check_claim_plus(h, ctx, u)
+                if v is None:
+                    continue
+                hits += 1
+                want = []
+                for w in (vs[v.position], vs[(v.position + 1) % len(vs)]):
+                    (e,) = [e for e in h.edges if u in e and w in e and e not in es]
+                    want.append(e)
+                assert v.witnesses == tuple(want), (h.edges, vs, u)
+    assert hits > 1000
 
 
 def test_claim_plus_plus_negative_control():
@@ -190,6 +222,9 @@ def test_claim_checker_preconditions(fano):
         check_claim_plus_plus(fano, ctx, (0, 1, 2))
     with pytest.raises(ValueError):
         check_claim_plus_plus(fano, ctx, (0, 1, 3))  # not an edge
+    h = validate(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    with pytest.raises(BadSharingPatternError):
+        check_claim_plus_plus(h, _ctx_of(h), (3, 4))  # a 2-edge
 
 
 def test_vacuous_cases(fano, two_triples):

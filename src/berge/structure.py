@@ -246,9 +246,13 @@ def check_laws(h: LinearHypergraph, ctx: CycleContext) -> tuple[list[Violation],
     sharing-pair laws) and the numbers of off-cycle vertices, off-cycle
     triples and sharing pairs checked.  Every off-cycle vertex is counted,
     but only those in some edge are walked: an isolated vertex has empty S
-    and L, so it passes, and a huge vertex count costs nothing.
+    and L, so it passes, and a huge vertex count costs nothing.  When the
+    cycle holds every touched vertex, no off-cycle triple exists either,
+    so nothing is left to check.
     """
     off = sorted(set().union(*h.edges) - ctx.position.keys())
+    if not off:
+        return [], h.n - ctx.length, 0, 0
     triples = off_cycle_triples(h, ctx)
     pairs = sharing_pairs(triples)
     found = [check_claim_plus(h, ctx, u) for u in off]

@@ -236,6 +236,15 @@ def test_vacuous_cases(fano, two_triples):
     h = validate(6, [(0, 1), (1, 2), (0, 2), (3, 4, 5)])
     ctx2 = _ctx_of(h)
     assert check_claim_plus_plus(h, ctx2, (3, 4, 5)) is None
+    # a cycle through every touched vertex, plus isolated vertices: the
+    # isolated ones are counted and nothing else is left to check, as the
+    # full path finds with one edge off the cycle
+    h3 = validate(10, fano.edges)
+    ctx3 = _ctx_of(h3)
+    assert ctx3.length == 7
+    assert check_laws(h3, ctx3) == ([], 3, 0, 0)
+    h4 = validate(10, fano.edges + ((7, 8),))
+    assert check_laws(h4, CycleContext.from_cycle(h4, ctx3.cycle)) == ([], 3, 0, 0)
 
 
 def test_check_laws_on_non_maximum_cycle():

@@ -24,6 +24,20 @@ def fano() -> LinearHypergraph:
     return validate(7, triples)
 
 
+def _quasigroup_triples(q: int, op) -> list[tuple[int, int, int]]:
+    """The triples that the commutative quasigroup x∘y = ``op(x, y)`` on Z_q
+    gives on Z_q x {0,1,2}, point (x, lvl) labeled x*3 + lvl: {(x, 0), (x, 1),
+    (x, 2)} for each x = x∘x, and {(x, lvl), (y, lvl), (x∘y, lvl + 1 mod 3)}
+    for x < y and each level."""
+    triples = [(x * 3, x * 3 + 1, x * 3 + 2) for x in range(q) if op(x, x) == x]
+    for x in range(q):
+        for y in range(x + 1, q):
+            z = op(x, y)
+            for lvl in range(3):
+                triples.append((x * 3 + lvl, y * 3 + lvl, z * 3 + (lvl + 1) % 3))
+    return triples
+
+
 def sts_bose(n: int) -> LinearHypergraph:
     """Steiner triple system on n points for n ≡ 3 (mod 6).
 
@@ -34,17 +48,7 @@ def sts_bose(n: int) -> LinearHypergraph:
         raise BadResidueError(f"Bose construction needs n ≡ 3 (mod 6), n >= 3; got {n}")
     q = n // 3
     half = (q + 1) // 2  # multiplicative inverse of 2 mod q
-
-    def pt(x: int, lvl: int) -> int:
-        return x * 3 + lvl
-
-    triples = [(pt(x, 0), pt(x, 1), pt(x, 2)) for x in range(q)]
-    for x in range(q):
-        for y in range(x + 1, q):
-            z = ((x + y) * half) % q
-            for lvl in range(3):
-                triples.append((pt(x, lvl), pt(y, lvl), pt(z, (lvl + 1) % 3)))
-    return validate(n, triples)
+    return validate(n, _quasigroup_triples(q, lambda x, y: ((x + y) * half) % q))
 
 
 def sts_skolem(n: int) -> LinearHypergraph:
@@ -64,18 +68,10 @@ def sts_skolem(n: int) -> LinearHypergraph:
         s = (x + y) % q
         return s // 2 if s % 2 == 0 else (s - 1) // 2 + t
 
-    def pt(x: int, lvl: int) -> int:
-        return x * 3 + lvl
-
-    triples = [(pt(x, 0), pt(x, 1), pt(x, 2)) for x in range(t)]
+    triples = _quasigroup_triples(q, op)   # x = x∘x for x < t only
     for x in range(t):
         for lvl in range(3):
-            triples.append((inf, pt(t + x, lvl), pt(x, (lvl + 1) % 3)))
-    for x in range(q):
-        for y in range(x + 1, q):
-            z = op(x, y)
-            for lvl in range(3):
-                triples.append((pt(x, lvl), pt(y, lvl), pt(z, (lvl + 1) % 3)))
+            triples.append((inf, (t + x) * 3 + lvl, x * 3 + (lvl + 1) % 3))
     return validate(n, triples)
 
 
@@ -97,11 +93,7 @@ def extremal_disjoint_sts(k: int, copies: int) -> LinearHypergraph:
     """
     if copies < 1:
         raise BadResidueError(f"need at least one copy, got {copies}")
-    block = steiner_triple_system(k)
-    out = block
-    for _ in range(copies - 1):
-        out = disjoint_union(out, block)
-    return out
+    return disjoint_union(*[steiner_triple_system(k)] * copies)
 
 
 def star_k3(n: int) -> LinearHypergraph:

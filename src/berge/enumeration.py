@@ -21,6 +21,7 @@ with the state its parent handed down, and returns the child's state or
   candidates once, before visiting any child, without adding them, after
   one degree check per node; the ones that failed go down as a ``dead``
   mask: a search runs once per branch, not once per instance below it;
+  every stack at the maximum shadow size is kept until the report;
 * the structural-law campaign carries a longest Berge cycle, searching
   only for cycles through the new edge (any strictly longer cycle must use
   it) and no longer than the number of vertices in two edges; an
@@ -40,9 +41,10 @@ masks, or single sample indices for random campaigns), and
 ``run_prefix`` runs one unit, serially or in a process pool, after
 ``_Walk.replay`` has rebuilt the walk and the step's state at the prefix.
 With one job the walk is not split.  Partial results merge commutatively,
-so reports are identical for any job count.  The walk's pair -> edge table
-is read only at pairs its shadow adjacency shows as covered, so removing
-an edge clears its adjacency bits alone.
+so reports are identical for any job count.  Walks share the scope's
+tables (``_walk_tables``); a walk's own pair -> edge table is read only at
+pairs its shadow adjacency shows as covered, so removing an edge clears
+its adjacency bits alone.
 """
 
 from __future__ import annotations
@@ -147,13 +149,34 @@ def _candidates(n: int, uniformity: str) -> tuple[tuple[Edge, ...], tuple[int, .
 
 
 @functools.lru_cache(maxsize=None)
-def _compatible_after(n: int, uniformity: str) -> tuple[int, ...]:
-    """For each candidate j, the bitmask of the later candidates that share
-    no vertex pair with it, so may follow it in a linear instance.  Built
-    once per scope."""
-    _cands, bits = _candidates(n, uniformity)
-    return tuple(sum(1 << i for i in range(j + 1, len(bits)) if not bits[i] & bits[j])
-                 for j in range(len(bits)))
+def _walk_tables(n: int, uniformity: str) -> tuple:
+    """The walk's tables, built once per scope: the candidates and, per
+    candidate, the mask of later ones sharing no vertex pair with it, its
+    cover keys, vertex mask, adjacency bits, shadow pairs and anchored seeds."""
+    cands, bits = _candidates(n, uniformity)
+    after = tuple(sum(1 << i for i in range(j + 1, len(bits)) if not bits[i] & bits[j])
+                  for j in range(len(bits)))
+    pairs = []
+    vmask = []
+    adjbits = []
+    shcount = []
+    seeds = []
+    for j, e in enumerate(cands):
+        ps = []
+        for u, v in itertools.combinations(e, 2):
+            ps.append(u * n + v)
+            ps.append(v * n + u)
+        pairs.append(tuple(ps))
+        msk = 0
+        for v in e:
+            msk |= 1 << v
+        vmask.append(msk)
+        adjbits.append(tuple((v, msk ^ (1 << v)) for v in e))
+        shcount.append(len(ps) // 2)
+        seeds.append(tuple((a, b, j, (1 << a) | (1 << b))
+                           for a, b in itertools.combinations(e, 2)))
+    return (cands, after, tuple(pairs), tuple(vmask), tuple(adjbits),
+            tuple(shcount), tuple(seeds))
 
 
 _PRUNE = object()   # a step's verdict: do not extend this instance
@@ -176,27 +199,8 @@ class _Walk:
 
     def __init__(self, n: int, uniformity: str):
         self.n = n
-        self.cands = _candidates(n, uniformity)[0]
-        self.after = _compatible_after(n, uniformity)
-        self.pairs = []   # packed pair keys, both vertex orders, for cover[]
-        self.vmask = []
-        self.adjbits = []
-        self.shcount = []
-        self.seeds = []   # per edge: its anchored cycle-search seeds
-        for j, e in enumerate(self.cands):
-            ps = []
-            for u, v in itertools.combinations(e, 2):
-                ps.append(u * n + v)
-                ps.append(v * n + u)
-            self.pairs.append(tuple(ps))
-            msk = 0
-            for v in e:
-                msk |= 1 << v
-            self.vmask.append(msk)
-            self.adjbits.append(tuple((v, msk ^ (1 << v)) for v in e))
-            self.shcount.append(len(ps) // 2)
-            self.seeds.append(tuple((a, b, j, (1 << a) | (1 << b))
-                                    for a, b in itertools.combinations(e, 2)))
+        (self.cands, self.after, self.pairs, self.vmask, self.adjbits,
+         self.shcount, self.seeds) = _walk_tables(n, uniformity)
         self.cover = [-1] * (n * n)
         self.reset()
 
@@ -547,20 +551,18 @@ class _BoundAcc:
     ``max_shadow`` is the largest shadow size of a path-free instance seen
     (-1 before the first, so an empty partial never wins a merge); on a
     3-uniform walk it is three times the largest edge count.  ``best``
-    holds the edge-index stacks at that maximum in lexicographic order, at
-    most ``cap`` of them, or all of them when ``cap`` is None (the
-    campaign identifies extremal classes, canonicalized only at report
-    time since running maxima are discarded on every improvement).
+    holds every edge-index stack at that maximum, in no particular order;
+    the report picks its witnesses from them and may classify them, so no
+    tie is canonicalized while the running maximum can still rise.
     """
 
-    __slots__ = ("visited", "free", "max_shadow", "best", "cap", "violations")
+    __slots__ = ("visited", "free", "max_shadow", "best", "violations")
 
-    def __init__(self, cap: int | None):
+    def __init__(self):
         self.visited = 0
         self.free = 0
         self.max_shadow = -1
         self.best: list[tuple] = []
-        self.cap = cap
         self.violations: list[dict] = []
 
     def merge(self, other: "_BoundAcc"):
@@ -570,7 +572,7 @@ class _BoundAcc:
             self.max_shadow = other.max_shadow
             self.best = other.best
         elif other.max_shadow == self.max_shadow:
-            self.best = sorted(self.best + other.best)[: self.cap]
+            self.best.extend(other.best)
         self.violations.extend(other.violations)
 
 
@@ -586,12 +588,11 @@ class _BoundCampaign:
     """
 
     def __init__(self, n: int, k: int, uniformity: str, bound_lhs: int,
-                 bound_rhs: int, collect_classes: bool):
+                 bound_rhs: int):
         self.k = k
         self.unit = 3 if uniformity == "3" else 1
         self.max_ok = bound_rhs * self.unit // bound_lhs
         self.bound = str(Fraction(bound_rhs, bound_lhs))
-        self.cap = None if collect_classes else WITNESS_LIMIT
         self.walk = _Walk(n, uniformity)
 
     def path_hits(self, cands: int) -> int:
@@ -631,7 +632,7 @@ class _BoundCampaign:
         if sh > acc.max_shadow:
             acc.max_shadow = sh
             acc.best = [tuple(self.walk.stack)]
-        elif sh == acc.max_shadow and (acc.cap is None or len(acc.best) < acc.cap):
+        elif sh == acc.max_shadow:
             acc.best.append(tuple(self.walk.stack))
         if sh > self.max_ok:
             acc.violations.append({
@@ -648,7 +649,7 @@ class _BoundCampaign:
         prefix, dead = unit
         w = self.walk
         sh = w.replay(prefix, lambda j, sh: sh + w.shcount[j], 0)
-        acc = _BoundAcc(self.cap)
+        acc = _BoundAcc()
         w.descend(acc, self.step, w.live(), sh, None, None, self.path_hits, dead)
         return acc
 
@@ -656,7 +657,7 @@ class _BoundCampaign:
         """Walk depth <= depth_cap, collecting free depth-cap prefixes."""
         w = self.walk
         w.reset()
-        acc = _BoundAcc(self.cap)
+        acc = _BoundAcc()
         units: list[tuple] = []
         acc.visited += 1
         self.visit_free(acc, 0)   # the edgeless hypergraph
@@ -664,19 +665,19 @@ class _BoundCampaign:
         return acc, units
 
 
-def _make_bound_campaign(n, k, uniformity, _metric, lhs, rhs, collect_classes, _limit):
+def _make_bound_campaign(n, k, uniformity, _metric, lhs, rhs, _collect_classes, _limit):
     """perfbench/tracing.py builds bound campaigns under this name, passing
-    a metric and a witness limit that uniformity and WITNESS_LIMIT fix."""
-    return _BoundCampaign(n, k, uniformity, lhs, rhs, collect_classes)
+    a metric, a class flag and a witness limit that only reports use."""
+    return _BoundCampaign(n, k, uniformity, lhs, rhs)
 
 
 def _verify_bound(campaign: str, n: int, k: int, uniformity: str, lhs: int, rhs: int,
                   jobs: int | None, collect_classes: bool = False,
                   family=None) -> VerificationReport:
-    """Run one bound campaign and build its report; ``family(n)``, when
-    given, is the extremal family the classes are compared with."""
+    """Run one bound campaign and report it, with the least WITNESS_LIMIT
+    ties as witnesses; ``family(n)`` is compared with the ties' classes."""
     _check_cap(n, uniformity)
-    spec = (_BoundCampaign, (n, k, uniformity, lhs, rhs, collect_classes))
+    spec = (_BoundCampaign, (n, k, uniformity, lhs, rhs))
     camp, acc = _run_campaign(spec, jobs)
     witnesses = sorted(acc.best)[:WITNESS_LIMIT]
 

@@ -132,10 +132,11 @@ def edge_components(h: LinearHypergraph) -> list[list[int]]:
     return list(groups.values())
 
 
-def disjoint_union(h1: LinearHypergraph, h2: LinearHypergraph) -> LinearHypergraph:
-    """Disjoint union; vertices of ``h2`` are shifted up by ``h1.n``."""
-    shifted = [tuple(v + h1.n for v in e) for e in h2.edges]
-    return validate(h1.n + h2.n, list(h1.edges) + shifted)
+def disjoint_union(*parts: LinearHypergraph) -> LinearHypergraph:
+    """Disjoint union, validated once: each part is shifted up by the parts before it."""
+    shifts = itertools.accumulate((h.n for h in parts), initial=0)
+    edges = [tuple(v + s for v in e) for h, s in zip(parts, shifts) for e in h.edges]
+    return validate(sum(h.n for h in parts), edges)
 
 
 def _check_vertex(h: LinearHypergraph, v: int) -> None:

@@ -50,13 +50,14 @@ completion, and its first expansion tried them all while the best cycle
 was no longer than it is now, so none of them beats the best: only
 non-improving branches go, and the witness stays the same.  A state is
 stored when it is expanded, since the visited set only grows below it,
-and only from five path vertices on: the same vertices in another order
-need two interior vertices between the seed's second vertex and the tip.
-This is the Held–Karp idea, and it pays on long searches, where a partial
-cycle recurs in another vertex order.  The claims walk's anchored searches
-are short: they meet none at n <= 6, and at n = 7 the set skips 119,680
-states over 31,590,702 instances.  ``all_longest_berge_cycles`` must see
-the ties, which a state met again may still close, so it keeps no states.
+and only from five path vertices on, where the seed first makes its set:
+the same vertices in another order need two interior vertices between
+the seed's second vertex and the tip.  This is the Held–Karp idea, and it
+pays on long searches, where a partial cycle recurs in another vertex
+order.  The claims walk's anchored searches are short: they meet none at
+n <= 6, and at n = 7 the set skips 119,680 states over 31,590,702
+instances.  ``all_longest_berge_cycles`` must see the ties, which a state
+met again may still close, so it keeps no states.
 
 ``longest_berge_path`` and ``has_berge_path`` share one path search.  At a
 tip w it takes the reach R of w's free neighbours and the *live* edges:
@@ -410,7 +411,7 @@ def _cycle_kernel(adj: list[int], cover, emask: list[int], n: int,
         adj_a = adj[a] & ~emask[c0]
         path, covs = [a, b], [c0]
         frames: list[int] = []  # untried neighbours of path[1:]
-        seen = set()  # the states (vis, w, cprev) expanded from this seed
+        seen = None  # the states (vis, w, cprev) expanded from this seed
         while True:
             w, cprev = path[-1], covs[-1]
             lp = len(path)
@@ -432,7 +433,9 @@ def _cycle_kernel(adj: list[int], cover, emask: list[int], n: int,
                 # a state met again in another vertex order has no completion
                 # that beats the best: its first expansion tried them all
                 state = (vis, w, cprev)
-                if state in seen:
+                if seen is None:
+                    seen = {state}
+                elif state in seen:
                     free = 0
                 else:
                     seen.add(state)

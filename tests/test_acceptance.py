@@ -73,7 +73,7 @@ def _run_verify(tmp_path, name, argv):
     return code, report["result"]
 
 
-def test_criterion_1_edge_bound_for_3_uniform(tmp_path):
+def test_criterion_1_edge_bound_for_3_uniform(tmp_path, monkeypatch):
     """6*e(H) <= (k-1)*n over all 3-uniform path-free instances, n <= 8."""
     t0 = time.time()
     checked = 0
@@ -98,9 +98,29 @@ def test_criterion_1_edge_bound_for_3_uniform(tmp_path):
                                  family=lambda n: fano())
     assert fano_classes.extremal_class_count == 1
     assert fano_classes.extremal_matches_family is True
+    # on 9 points the maximum is 12 triples, met only by AG(2,3), the
+    # Steiner triple system on 9 points: its 840 labeled ties are one class
+    monkeypatch.setenv("HX_CAP_N", "9")
+    ag23 = _verify_bound("theorem-uniform", 9, 9, "3", 6, 72, int(JOBS),
+                         collect_classes=True, family=lambda n: sts_bose(9))
+    assert ag23.max_hyperedges == 12
+    assert ag23.extremal_class_count == 1
+    assert ag23.extremal_matches_family is True
     _line("criterion-1", True,
-          f"24 campaigns, {checked} instances visited, zero violations "
+          f"24 campaigns, {checked} instances visited, zero violations; "
+          f"AG(2,3) is the one extremal class at (9, 9) "
           f"({time.time() - t0:.0f}s)")
+
+
+# the exact maximum shadow size of a {2,3}-uniform linear hypergraph on n
+# vertices with no Berge path of length k, for n = 3..7 and k = 4..7
+SHADOW_MAXIMA = {
+    3: (3, 3, 3, 3),
+    4: (6, 6, 6, 6),
+    5: (7, 10, 10, 10),
+    6: (9, 12, 15, 15),
+    7: (10, 12, 15, 21),
+}
 
 
 def test_criterion_2_shadow_bound_for_mixed(tmp_path):
@@ -117,6 +137,7 @@ def test_criterion_2_shadow_bound_for_mixed(tmp_path):
             assert res["holds"] is True
             assert res["violations"] == []
             assert 2 * res["max_shadow_edges"] <= (k - 1) * n
+            assert res["max_shadow_edges"] == SHADOW_MAXIMA[n][k - 4], (n, k)
             checked += res["instances_checked"]
             if (n, k) == (4, 4):
                 assert res["max_shadow_edges"] == 6   # equality via 2-edge clique

@@ -75,7 +75,7 @@ def test_remark_tie_sets(n, k):
     # the stacks at the maximum shadow size that `verify remark` classifies
     lhs, rhs = {2: (1, n), 3: (2, 3 * (n - 1))}[k]
     camp, acc = _run_campaign(
-        (_BoundCampaign, (n, k, "23", lhs, rhs, True)), 1)
+        (_BoundCampaign, (n, k, "23", lhs, rhs)), 1)
     ties = [LinearHypergraph(n=n, edges=tuple(camp.walk.cands[j] for j in s))
             for s in acc.best]
     assert ties

@@ -10,6 +10,7 @@ from berge import (
     shadow,
     validate,
 )
+from berge import constructions, hypergraph
 from berge.constructions import (
     build,
     extremal_disjoint_sts,
@@ -74,6 +75,23 @@ def test_disjoint_sts_certificate():
     assert h == matching_k2(9)
     with pytest.raises(BadResidueError):
         extremal_disjoint_sts(7, 0)
+
+
+def test_disjoint_sts_validates_once(monkeypatch):
+    # one validation for the block and one for the union: adding one copy
+    # at a time would validate the growing union again for every copy
+    calls = []
+
+    def counting(n, raw_edges):
+        raw_edges = list(raw_edges)
+        calls.append(len(raw_edges))
+        return validate(n, raw_edges)
+
+    monkeypatch.setattr(hypergraph, "validate", counting)
+    monkeypatch.setattr(constructions, "validate", counting)
+    h = extremal_disjoint_sts(7, 40)
+    assert (h.n, h.m) == (280, 280)
+    assert calls == [7, 280]
 
 
 def test_star_certificate():

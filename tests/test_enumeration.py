@@ -262,7 +262,7 @@ def test_path_hits_contract(n, uniformity, k):
     # of the first three, so the prefixes reach k - 1 edges), the prune
     # test returns exactly the live candidates whose edge gives the
     # instance a Berge path of length k, and leaves the walk as it was
-    camp = _BoundCampaign(n, k, uniformity, 1, n * n, False)
+    camp = _BoundCampaign(n, k, uniformity, 1, n * n)
     w = camp.walk
     cands = w.cands
     rng = random.Random(f"path-hits:{n}:{uniformity}:{k}")
@@ -412,7 +412,7 @@ def test_shadow_equality_case_is_3_uniform(k, classes):
     # on n = k vertices every instance is path-free, the maximum shadow is
     # C(k, 2), and it is reached exactly by the linear 3-uniform instances
     # with 2-edges on every uncovered pair
-    acc, _units = _BoundCampaign(k, k, "23", 2, (k - 1) * k, True).run_top(None)
+    acc, _units = _BoundCampaign(k, k, "23", 2, (k - 1) * k).run_top(None)
     assert acc.max_shadow == k * (k - 1) // 2
     uniform = []
     assert len(acc.best) == enumerate_hypergraphs(k, "3", uniform.append)
@@ -681,9 +681,9 @@ def _claims_summary(acc):
 
 
 @pytest.mark.parametrize("build,summary,k", [
-    (lambda: _BoundCampaign(5, 4, "23", 2, 3 * 5, False), _bound_summary, 4),
-    (lambda: _BoundCampaign(5, 3, "23", 2, 3 * 4, True), _bound_summary, 3),
-    (lambda: _BoundCampaign(6, 3, "23", 2, 3 * 5, True), _bound_summary, 3),
+    (lambda: _BoundCampaign(5, 4, "23", 2, 3 * 5), _bound_summary, 4),
+    (lambda: _BoundCampaign(5, 3, "23", 2, 3 * 4), _bound_summary, 3),
+    (lambda: _BoundCampaign(6, 3, "23", 2, 3 * 5), _bound_summary, 3),
     (lambda: _ClaimsCampaign(5), _claims_summary, None),
 ], ids=["theorem-shadow", "remark", "remark-6-3", "claims"])
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])

@@ -128,6 +128,13 @@ def test_disjoint_union(fano, one_triple):
     assert disjoint_union(fano, validate(0, [])) == fano
     tt = disjoint_union(one_triple, one_triple)
     assert tt.n == 6 and tt.m == 2 and len(edge_components(tt)) == 2
+    assert disjoint_union() == validate(0, [])
+    assert disjoint_union(fano) == fano
+    path = validate(4, [(0, 1), (1, 2, 3)])
+    three = disjoint_union(one_triple, fano, path)
+    assert three == disjoint_union(disjoint_union(one_triple, fano), path)
+    assert three == disjoint_union(one_triple, disjoint_union(fano, path))
+    assert (three.n, three.m) == (14, 10)
 
 
 def test_hg_round_trip(fano):

@@ -44,8 +44,8 @@ def test_fanout_replay_visits_every_instance(kind, args, verify):
 
 def test_bound_campaign_adapter_keeps_the_bound():
     # the replay test above counts visits only, so it would miss an adapter
-    # that swapped lhs and rhs or dropped the class flag
+    # that swapped lhs and rhs
     built = _tracing().make_campaign(enumeration, "bound", (5, 4))
-    want = enumeration._BoundCampaign(5, 4, "23", 2, 15, False)
-    for attr in ("k", "unit", "max_ok", "bound", "cap"):
+    want = enumeration._BoundCampaign(5, 4, "23", 2, 15)
+    for attr in ("k", "unit", "max_ok", "bound"):
         assert getattr(built, attr) == getattr(want, attr), attr

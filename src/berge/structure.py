@@ -14,7 +14,9 @@ therefore means either the supplied cycle is not maximum or the law fails,
 both worth surfacing.
 
 Positions are 0-based indices into the cycle's vertex sequence.  Set
-arguments and results at the mask level use bit i for position i.
+arguments and results at the mask level use bit i for position i.  S and L
+are read in one place, ``_peripheral_masks``, off the edges through u, and
+share no formula with the claims walk, which this module cross-checks.
 """
 
 from __future__ import annotations
@@ -35,32 +37,20 @@ from .solver import BergeCycle, is_valid_berge_cycle
 
 @dataclass(frozen=True)
 class CycleContext:
-    """A Berge cycle with its third-vertex map, ready for structural checks.
+    """A validated Berge cycle, ready for structural checks.
 
-    ``third_vertex[i]`` is the vertex of the size-3 defining hyperedge h_i
-    besides v_i and v_{i+1} (None for 2-edges); it may itself lie on the
-    cycle.  Maximality of the cycle is the caller's responsibility: feeding
-    a non-maximum cycle makes violations possible (and is how the checkers
+    Maximality of the cycle is the caller's responsibility: feeding a
+    non-maximum cycle makes violations possible (and is how the checkers
     are negatively tested).
     """
 
     cycle: BergeCycle
-    third_vertex: tuple[int | None, ...]
 
     @classmethod
     def from_cycle(cls, h: LinearHypergraph, cycle: BergeCycle) -> "CycleContext":
         if not is_valid_berge_cycle(h, cycle):
             raise ValueError("not a valid Berge cycle of this hypergraph")
-        ell = cycle.length
-        third = []
-        for i in range(ell):
-            e = cycle.hyperedges[i]
-            if len(e) == 3:
-                vi, vj = cycle.vertices[i], cycle.vertices[(i + 1) % ell]
-                third.append(e[0] + e[1] + e[2] - vi - vj)
-            else:
-                third.append(None)
-        return cls(cycle=cycle, third_vertex=tuple(third))
+        return cls(cycle=cycle)
 
     @property
     def length(self) -> int:
@@ -69,6 +59,11 @@ class CycleContext:
     @cached_property
     def position(self) -> dict[int, int]:
         return {v: i for i, v in enumerate(self.cycle.vertices)}
+
+    @cached_property
+    def defining(self) -> dict[Edge, int]:
+        """Each defining hyperedge h_i mapped to its index i."""
+        return {e: i for i, e in enumerate(self.cycle.hyperedges)}
 
 
 @dataclass(frozen=True)
@@ -281,25 +276,26 @@ def sharing_pairs(triples) -> list[tuple[Edge, Edge]]:
 # ---------------------------------------------------------------------------
 
 def _peripheral_masks(h: LinearHypergraph, ctx: CycleContext, u: int) -> tuple[int, int]:
+    """S(u), L(u) as position masks.  A defining h_i through the off-cycle u
+    is {v_i, v_{i+1}, u}, so it puts i in L(u); every other edge through u
+    puts its cycle vertices in S(u)."""
     if not 0 <= u < h.n:
         raise VertexOutOfRangeError(f"vertex {u} out of range [0, {h.n})")
     if u in ctx.position:
         raise VertexOnCycleError(f"vertex {u} is a defining vertex of the cycle")
-    pos = ctx.position
-    defining = set(ctx.cycle.hyperedges)
-    s_mask = 0
+    pos, defining = ctx.position, ctx.defining
+    s_mask = l_mask = 0
     for e in h.edges:
-        if u not in e or e in defining:
+        if u not in e:
             continue
-        for w in e:
-            if w != u:
+        i = defining.get(e)
+        if i is not None:
+            l_mask |= 1 << i
+        else:
+            for w in e:
                 p = pos.get(w)
                 if p is not None:
                     s_mask |= 1 << p
-    l_mask = 0
-    for i, x in enumerate(ctx.third_vertex):
-        if x == u:
-            l_mask |= 1 << i
     return s_mask, l_mask
 
 

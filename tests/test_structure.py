@@ -12,9 +12,10 @@ from berge import (
     oracle_longest_cycle,
     validate,
 )
-from berge.enumeration import random_linear
+from berge.enumeration import enumerate_hypergraphs, random_linear
 from berge.structure import (
     CycleContext,
+    _peripheral_masks,
     check_claim_plus,
     check_claim_plus_plus,
     check_claim_triple,
@@ -155,14 +156,54 @@ def test_claim_plus_negative_control():
     assert v.witnesses == ((0, 3), (1, 3))
 
 
+def _assert_s_l_as_stated(h, ctx) -> int:
+    # S(u): the positions of the cycle vertices sharing a non-defining edge
+    # with u; L(u): the positions i with h_i = {v_i, v_{i+1}, u}.  Returns
+    # how many off-cycle vertices have L(u) nonempty
+    vs, es = ctx.cycle.vertices, ctx.cycle.hyperedges
+    ell = len(vs)
+    with_l = 0
+    for u in set(range(h.n)) - set(vs):
+        s = sum(1 << p for p, v in enumerate(vs)
+                if any(u in e and v in e for e in h.edges if e not in es))
+        l = sum(1 << i for i in range(ell)
+                if set(es[i]) == {vs[i], vs[(i + 1) % ell], u})
+        assert _peripheral_masks(h, ctx, u) == (s, l), (h.edges, vs, u)
+        with_l += l != 0
+    return with_l
+
+
+def _s_l_on_every_cycle(h) -> int:
+    # _all_cycles lists each cycle in both orientations, maximum or not
+    return sum(_assert_s_l_as_stated(h, CycleContext.from_cycle(h, BergeCycle(vs, es)))
+               for vs, es in _all_cycles(h))
+
+
+def test_s_l_as_stated_on_every_cycle_up_to_5_vertices():
+    with_l = []
+    for n in range(3, 6):
+        enumerate_hypergraphs(n, "23", lambda h: with_l.append(_s_l_on_every_cycle(h)))
+    assert sum(with_l) > 1000
+
+
+def test_s_l_as_stated_on_every_cycle_of_random_instances():
+    with_l = 0
+    for n in range(7, 10):
+        for i in range(8):
+            with_l += _s_l_on_every_cycle(random_linear(n, random.Random(f"sl:{n}:{i}")))
+    assert with_l > 1000
+
+
 def test_claim_plus_witnesses_are_the_edges_through_the_hit_pairs():
     # on every Berge cycle, longest or not, a claim-plus hit at p is
-    # witnessed by the non-defining edges through {u, v_p} and {u, v_{p+1}}
+    # witnessed by the non-defining edges through {u, v_p} and {u, v_{p+1}};
+    # S and L there are the stated ones
     hits = 0
     for i in range(300):
         h = random_linear(6, random.Random(f"wit:{i}"))
         for vs, es in _all_cycles(h):
             ctx = CycleContext.from_cycle(h, BergeCycle(vertices=vs, hyperedges=es))
+            _assert_s_l_as_stated(h, ctx)
             for u in set(range(h.n)) - set(vs):
                 v = check_claim_plus(h, ctx, u)
                 if v is None:

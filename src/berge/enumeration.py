@@ -79,9 +79,11 @@ CAP_ENV_VAR = "HX_CAP_N"
 
 
 def _check_cap(n: int, scope: str) -> None:
-    """Refuse ``n`` above the cap of ``scope``: "3" or "23" for exhaustive
-    walks of that uniformity, "random" for sampling.  The ``HX_CAP_N``
-    environment variable overrides every cap."""
+    """Refuse ``n`` below 1 or above the cap of ``scope``: "3" or "23" for
+    exhaustive walks of that uniformity, "random" for sampling.  The
+    ``HX_CAP_N`` environment variable overrides every cap."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     default = {"3": EXHAUSTIVE_CAP_3ONLY, "23": EXHAUSTIVE_CAP_MIXED,
                "random": RANDOM_CAP}[scope]
     raw = os.environ.get(CAP_ENV_VAR)
@@ -358,8 +360,6 @@ def enumerate_hypergraphs(n: int, uniformity: str = "23", visitor=None) -> int:
     that extend the current one with candidate edges after its last edge;
     its other supersets, those with an earlier edge it lacks, still come.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     if uniformity not in ("3", "23"):
         raise ValueError(f"uniformity must be '3' or '23', got {uniformity!r}")
     _check_cap(n, uniformity)
@@ -996,6 +996,8 @@ def verify_claims(n: int, samples: int | None = None, seed: int | None = None,
         spec = (_ClaimsCampaign, (n,))
     else:
         _check_cap(n, "random")
+        if samples < 1:
+            raise ValueError(f"need samples >= 1, got {samples}")
         seed = DEFAULT_SEED if seed is None else seed
         params = {"campaign": "claims", "n": n, "mode": "random",
                   "samples": samples, "seed": seed}

@@ -3,8 +3,7 @@
 For a cycle C = v_0,h_0,...,v_{l-1},h_{l-1},v_0 and an off-cycle vertex u:
 
 * ``S(u)``: cycle vertices adjacent to u through non-defining hyperedges;
-* ``L(u)``: cycle vertices v_i whose defining hyperedge is {v_i, v_{i+1}, u};
-* ``R(u)``: L(u) shifted one step forward along the cycle.
+* ``L(u)``: cycle vertices v_i whose defining hyperedge is {v_i, v_{i+1}, u}.
 
 If C is a *longest* Berge cycle, these sets obey shifted-disjointness laws:
 hitting a forbidden overlap would let the cycle absorb u (or a whole
@@ -15,7 +14,7 @@ both worth surfacing.
 
 Positions are 0-based indices into the cycle's vertex sequence.  Set
 arguments and results at the mask level use bit i for position i.  S and L
-are read in one place, ``_peripheral_masks``, off the edges through u, and
+are read in one place, ``peripheral_masks``, off the edges through u, and
 share no formula with the claims walk, which this module cross-checks.
 """
 
@@ -64,16 +63,6 @@ class CycleContext:
     def defining(self) -> dict[Edge, int]:
         """Each defining hyperedge h_i mapped to its index i."""
         return {e: i for i, e in enumerate(self.cycle.hyperedges)}
-
-
-@dataclass(frozen=True)
-class PeripheralSets:
-    """S, L, R of one off-cycle vertex, as vertex sets."""
-
-    u: int
-    s: frozenset[int]
-    l: frozenset[int]
-    r: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -165,17 +154,28 @@ def shift(positions, offset: int, ell: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def peripheral_sets(h: LinearHypergraph, ctx: CycleContext, u: int) -> PeripheralSets:
-    """S(u), L(u), R(u) for an off-cycle vertex ``u``."""
-    s_mask, l_mask = _peripheral_masks(h, ctx, u)
-    ell = ctx.length
-    vs = ctx.cycle.vertices
-    return PeripheralSets(
-        u=u,
-        s=frozenset(vs[p] for p in _bits(s_mask)),
-        l=frozenset(vs[p] for p in _bits(l_mask)),
-        r=frozenset(vs[(p + 1) % ell] for p in _bits(l_mask)),
-    )
+def peripheral_masks(h: LinearHypergraph, ctx: CycleContext, u: int) -> tuple[int, int]:
+    """S(u), L(u) as position masks.  A defining h_i through the off-cycle u
+    is {v_i, v_{i+1}, u}, so it puts i in L(u); every other edge through u
+    puts its cycle vertices in S(u)."""
+    if not 0 <= u < h.n:
+        raise VertexOutOfRangeError(f"vertex {u} out of range [0, {h.n})")
+    if u in ctx.position:
+        raise VertexOnCycleError(f"vertex {u} is a defining vertex of the cycle")
+    pos, defining = ctx.position, ctx.defining
+    s_mask = l_mask = 0
+    for e in h.edges:
+        if u not in e:
+            continue
+        i = defining.get(e)
+        if i is not None:
+            l_mask |= 1 << i
+        else:
+            for w in e:
+                p = pos.get(w)
+                if p is not None:
+                    s_mask |= 1 << p
+    return s_mask, l_mask
 
 
 def check_claim_plus(h: LinearHypergraph, ctx: CycleContext, u: int) -> Violation | None:
@@ -184,7 +184,7 @@ def check_claim_plus(h: LinearHypergraph, ctx: CycleContext, u: int) -> Violatio
     A hit at position p means u is joined to both v_p and v_{p+1} in a way
     that splices u between them, extending the cycle.
     """
-    hit = claim_plus_hit(*_peripheral_masks(h, ctx, u), ctx.length)
+    hit = claim_plus_hit(*peripheral_masks(h, ctx, u), ctx.length)
     if hit is None:
         return None
     condition, p = hit
@@ -275,35 +275,11 @@ def sharing_pairs(triples) -> list[tuple[Edge, Edge]]:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _peripheral_masks(h: LinearHypergraph, ctx: CycleContext, u: int) -> tuple[int, int]:
-    """S(u), L(u) as position masks.  A defining h_i through the off-cycle u
-    is {v_i, v_{i+1}, u}, so it puts i in L(u); every other edge through u
-    puts its cycle vertices in S(u)."""
-    if not 0 <= u < h.n:
-        raise VertexOutOfRangeError(f"vertex {u} out of range [0, {h.n})")
-    if u in ctx.position:
-        raise VertexOnCycleError(f"vertex {u} is a defining vertex of the cycle")
-    pos, defining = ctx.position, ctx.defining
-    s_mask = l_mask = 0
-    for e in h.edges:
-        if u not in e:
-            continue
-        i = defining.get(e)
-        if i is not None:
-            l_mask |= 1 << i
-        else:
-            for w in e:
-                p = pos.get(w)
-                if p is not None:
-                    s_mask |= 1 << p
-    return s_mask, l_mask
-
-
 def _pair_law(h: LinearHypergraph, ctx: CycleContext, pairs: list, max_shift: int,
               kind: str, witnesses: tuple[Edge, ...]) -> Violation | None:
     """The first ordered vertex pair of ``pairs`` whose shifted disjointness
     up to ``max_shift`` fails (see ``claim_pair_hit``), as a Violation."""
-    masks = {u: _peripheral_masks(h, ctx, u) for u in set().union(*pairs)}
+    masks = {u: peripheral_masks(h, ctx, u) for u in set().union(*pairs)}
     for ui, uj in pairs:
         hit = claim_pair_hit(*masks[ui], *masks[uj], ctx.length, max_shift)
         if hit is not None:
@@ -336,9 +312,3 @@ def _edge_through(h: LinearHypergraph, u: int, v: int) -> Edge:
     """The one hyperedge holding both u and v, which the caller knows exists."""
     return next(e for e in h.edges if u in e and v in e)
 
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

@@ -6,6 +6,7 @@ the CLI verbs end to end; run with `pytest -v -s tests/test_acceptance.py`
 to watch the per-criterion lines.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -273,6 +274,15 @@ def test_criterion_6_structural_law_campaigns(tmp_path):
         assert code == 0 and res["holds"] is True, n
         assert res["violations"] == []
         total += res["instances_checked"]
+    # the loop ends at n = 7: its labeled values, which a class-level
+    # campaign must reproduce
+    assert (res["instances_checked"], res["cyclic_instances"], res["checked_vertices"],
+            res["checked_triples"], res["checked_pairs"]) == (
+        31_590_702, 31_470_966, 13_278_308, 68_766, 0)
+    assert res["cycle_length_histogram"] == {
+        "3": 589_855, "4": 1_195_397, "5": 3_343_431, "6": 8_379_987, "7": 17_962_296}
+    assert hashlib.sha256(json.dumps(res, sort_keys=True).encode()).hexdigest() == (
+        "c75e9ad7ebd27a519baaa82559e75efa05fcf7d8a1218114c3a8e4dccfae1443")
     code, res = _run_verify(
         tmp_path, "c6_random",
         ["verify", "claims", "--n", "12", "--samples", "10000",

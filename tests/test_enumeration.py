@@ -110,6 +110,15 @@ def test_enumeration_rejects_bad_scope():
         enumerate_hypergraphs(0)
     with pytest.raises(ValueError):
         enumerate_hypergraphs(4, "2")
+    # no campaign reports on an empty scope
+    for call in (lambda: verify_theorem_shadow(-2, 4),
+                 lambda: verify_claims(12, samples=0),
+                 lambda: verify_claims(12, samples=-3),
+                 lambda: verify_remark(0, 2),
+                 lambda: verify_claims(0),
+                 lambda: verify_theorem_uniform(0, 4)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_enumeration_cap_env_override(monkeypatch):
@@ -545,7 +554,7 @@ def _assert_s_l_matches_object_level(camp, ctx):
     cctx = structure.CycleContext.from_cycle(h, BergeCycle(vertices=cyc, hyperedges=edges))
     touched = {v for e in h.edges for v in e} - set(cyc)
     for u in sorted(touched):
-        assert camp._s_l(ctx, u) == structure._peripheral_masks(h, cctx, u), (h, cyc, u)
+        assert camp._s_l(ctx, u) == structure.peripheral_masks(h, cctx, u), (h, cyc, u)
 
 
 def test_claims_s_l_matches_object_level():

@@ -15,14 +15,13 @@ from berge import (
 from berge.enumeration import enumerate_hypergraphs, random_linear
 from berge.structure import (
     CycleContext,
-    _peripheral_masks,
     check_claim_plus,
     check_claim_plus_plus,
     check_claim_triple,
     check_laws,
     claim_plus_hit,
     off_cycle_triples,
-    peripheral_sets,
+    peripheral_masks,
     sharing_pairs,
     shift,
     shift_mask,
@@ -71,54 +70,37 @@ def test_shift_mask_agrees_with_shift():
 
 
 def test_peripheral_sets_examples():
-    # defining triple with off-cycle third vertex: L = {v_0}, R = {v_1}, S empty
+    # defining triple with off-cycle third vertex: L = {i} with
+    # h_i = {v_i, v_{i+1}, 3}, S empty
     h = validate(4, [(0, 1, 3), (1, 2), (0, 2)])
     ctx = _ctx_of(h)
     assert ctx.length == 3
-    ps = peripheral_sets(h, ctx, 3)
-    pos = ctx.position
-    assert len(ps.l) == 1 and len(ps.r) == 1 and not ps.s
-    (lv,), (rv,) = tuple(ps.l), tuple(ps.r)
-    assert (pos[rv] - pos[lv]) % 3 == 1   # R is L shifted forward
+    s, l = peripheral_masks(h, ctx, 3)
+    assert s == 0 and l.bit_count() == 1
+    i = l.bit_length() - 1
+    vs = ctx.cycle.vertices
+    assert set(ctx.cycle.hyperedges[i]) == {vs[i], vs[(i + 1) % 3], 3}
 
-    # pendant 2-edge into the cycle: S = {v}, L = R = empty
+    # pendant 2-edge into the cycle: S = {position of 0}, L empty
     h2 = validate(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
     ctx2 = _ctx_of(h2)
     assert ctx2.length == 3
-    ps2 = peripheral_sets(h2, ctx2, 3)
-    assert ps2.s == frozenset({0}) and not ps2.l and not ps2.r
+    assert peripheral_masks(h2, ctx2, 3) == (1 << ctx2.position[0], 0)
 
-    # untouched vertex: all empty
+    # untouched vertex: both empty
     h3 = validate(4, [(0, 1), (1, 2), (0, 2)])
-    ps3 = peripheral_sets(h3, _ctx_of(h3), 3)
-    assert not ps3.s and not ps3.l and not ps3.r
+    assert peripheral_masks(h3, _ctx_of(h3), 3) == (0, 0)
 
 
 def test_peripheral_sets_rejects_cycle_vertex(triangle):
     ctx = _ctx_of(triangle)
     with pytest.raises(VertexOnCycleError):
-        peripheral_sets(triangle, ctx, 0)
+        peripheral_masks(triangle, ctx, 0)
     with pytest.raises(VertexOutOfRangeError):
-        peripheral_sets(triangle, ctx, triangle.n)
+        peripheral_masks(triangle, ctx, triangle.n)
     with pytest.raises(ValueError):
         CycleContext.from_cycle(
             triangle, BergeCycle(vertices=(0, 1, 2), hyperedges=((0, 1), (0, 2), (1, 2))))
-
-
-def test_l_shift_is_r_on_random_instances():
-    for i in range(120):
-        h = random_linear(8, random.Random(f"lr:{i}"))
-        c = longest_berge_cycle(h)
-        if c is None:
-            continue
-        ctx = CycleContext.from_cycle(h, c)
-        pos = ctx.position
-        ell = ctx.length
-        for u in [v for v in range(h.n) if v not in ctx.position]:
-            ps = peripheral_sets(h, ctx, u)
-            assert len(ps.l) == len(ps.r)
-            lpos = shift({pos[v] for v in ps.l}, 1, ell)
-            assert {pos[v] for v in ps.r} == lpos
 
 
 def test_claim_plus_holds_on_longest_cycles():
@@ -130,8 +112,8 @@ def test_claim_plus_holds_on_longest_cycles():
         ctx = CycleContext.from_cycle(h, c)
         for u in [v for v in range(h.n) if v not in ctx.position]:
             assert check_claim_plus(h, ctx, u) is None
-            ps = peripheral_sets(h, ctx, u)
-            assert len(ps.s) <= ctx.length // 2
+            s, _ = peripheral_masks(h, ctx, u)
+            assert s.bit_count() <= ctx.length // 2
 
 
 def test_claim_plus_implies_s_size_bound():
@@ -168,7 +150,7 @@ def _assert_s_l_as_stated(h, ctx) -> int:
                 if any(u in e and v in e for e in h.edges if e not in es))
         l = sum(1 << i for i in range(ell)
                 if set(es[i]) == {vs[i], vs[(i + 1) % ell], u})
-        assert _peripheral_masks(h, ctx, u) == (s, l), (h.edges, vs, u)
+        assert peripheral_masks(h, ctx, u) == (s, l), (h.edges, vs, u)
         with_l += l != 0
     return with_l
 

@@ -210,7 +210,7 @@ def _run_check(args):
         result = {"cycle_length": None, "checked_vertices": 0,
                   "checked_triples": 0, "checked_pairs": 0, "violations": []}
     else:
-        found, vertices, triples, pairs = check_laws(h, CycleContext.from_cycle(h, cyc))
+        found, vertices, triples, pairs = check_laws(CycleContext.from_cycle(h, cyc))
         result = {
             "cycle_length": cyc.length,
             "cycle_vertices": list(cyc.vertices),

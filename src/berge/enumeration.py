@@ -342,7 +342,7 @@ def _cycle_through(w: _Walk, j: int, lower: int):
     ub = min(two.bit_count(), len(w.stack))
     if ub <= lower or (two & w.vmask[j]).bit_count() < 2:
         return None
-    hits = _cycle_kernel(w.adj, w.cover, w.vmask, w.n, w.seeds[j], lower, ub)
+    hits = _cycle_kernel(w.adj, w.cover, w.vmask, w.seeds[j], lower, ub)
     return hits[0] if hits else None
 
 
@@ -776,7 +776,7 @@ class _ClaimsAcc:
     def object_laws(self, h: LinearHypergraph, cycle: BergeCycle, **where):
         """Check the object-level laws around one oriented cycle, counting
         the checks and recording each violation around that cycle."""
-        found, vertices, triples, pairs = check_laws(h, CycleContext.from_cycle(h, cycle))
+        found, vertices, triples, pairs = check_laws(CycleContext.from_cycle(h, cycle))
         self.vertices += vertices
         self.triples += triples
         self.pairs += pairs
@@ -967,9 +967,9 @@ class _RandomClaimsCampaign:
         self.samples = samples
         self.seed = seed
 
-    def run_top(self, depth_cap: int) -> tuple[_ClaimsAcc, list]:
+    def run_top(self, depth_cap: int) -> tuple[_ClaimsAcc, range]:
         # no work above the split: every sample lies in some unit
-        return _ClaimsAcc(self.n), list(range(self.samples))
+        return _ClaimsAcc(self.n), range(self.samples)
 
     def run_prefix(self, i: int) -> _ClaimsAcc:
         acc = _ClaimsAcc(self.n)

@@ -376,18 +376,18 @@ def _cycle_search(h: LinearHypergraph, collect_all: bool) -> list[BergeCycle]:
                 b = low.bit_length() - 1
                 yield s, b, cover[s * n + b], blocked | low
 
-    hits = _cycle_kernel(adj, cover, emask, n, seeds(), 2,
+    hits = _cycle_kernel(adj, cover, emask, seeds(), 2,
                          min(core.bit_count(), core_m), collect_all)
     return [BergeCycle(vertices=tuple(verts[v] for v in vs),
                        hyperedges=tuple(h.edges[c] for c in cs)) for vs, cs in hits]
 
 
-def _cycle_kernel(adj: list[int], cover, emask: list[int], n: int,
-                  seeds, best_len: int, ub: int, collect_all: bool = False):
+def _cycle_kernel(adj: list[int], cover, emask: list[int], seeds,
+                  best_len: int, ub: int, collect_all: bool = False):
     """Longest Berge cycles closing one of ``seeds``, as sorted
     (vertex tuple, cover-index tuple) pairs; ``emask`` maps a cover index
-    to its edge's vertex mask.  ``cover[u * n + v]`` is read only where
-    ``adj`` shows the pair covered.
+    to its edge's vertex mask.  ``cover[u * n + v]``, with n = len(adj), is
+    read only where ``adj`` shows the pair covered.
 
     A seed (a, b, c0, vis) is the path a→b over cover index c0; it closes
     back at a through an edge other than c0 and the last edge used, and
@@ -402,6 +402,7 @@ def _cycle_kernel(adj: list[int], cover, emask: list[int], n: int,
     below the last).  By default a state (vis, tip, last edge) met again
     is not expanded again (see the module docstring).
     """
+    n = len(adj)
     hits: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     # with collect_all, ties are not cut, so a cycle first found in its
     # unrecorded orientation is found again in the recorded one

@@ -13,9 +13,11 @@ therefore means either the supplied cycle is not maximum or the law fails,
 both worth surfacing.
 
 Positions are 0-based indices into the cycle's vertex sequence.  Set
-arguments and results at the mask level use bit i for position i.  S and L
-are read in one place, ``peripheral_masks``, off the edges through u, and
-share no formula with the claims walk, which this module cross-checks.
+arguments and results at the mask level use bit i for position i.  Every
+check takes a ``CycleContext``, which holds the hypergraph its cycle was
+validated against.  S and L are derived in one place, ``CycleContext.masks``,
+in one pass over the edges, and share no formula with the claims walk,
+which this module cross-checks.
 """
 
 from __future__ import annotations
@@ -36,20 +38,22 @@ from .solver import BergeCycle, is_valid_berge_cycle
 
 @dataclass(frozen=True)
 class CycleContext:
-    """A validated Berge cycle, ready for structural checks.
+    """A validated Berge cycle of ``h``, ready for structural checks.
 
-    Maximality of the cycle is the caller's responsibility: feeding a
-    non-maximum cycle makes violations possible (and is how the checkers
-    are negatively tested).
+    What the cycle fixes (positions, S and L in ``masks``) is derived once,
+    on first read.  Maximality of the cycle is the caller's responsibility:
+    feeding a non-maximum cycle makes violations possible (and is how the
+    checkers are negatively tested).
     """
 
+    h: LinearHypergraph
     cycle: BergeCycle
 
     @classmethod
     def from_cycle(cls, h: LinearHypergraph, cycle: BergeCycle) -> "CycleContext":
         if not is_valid_berge_cycle(h, cycle):
             raise ValueError("not a valid Berge cycle of this hypergraph")
-        return cls(cycle=cycle)
+        return cls(h=h, cycle=cycle)
 
     @property
     def length(self) -> int:
@@ -63,6 +67,27 @@ class CycleContext:
     def defining(self) -> dict[Edge, int]:
         """Each defining hyperedge h_i mapped to its index i."""
         return {e: i for i, e in enumerate(self.cycle.hyperedges)}
+
+    @cached_property
+    def masks(self) -> dict[int, tuple[int, int]]:
+        """S(u), L(u) as position masks, for each off-cycle vertex u in some
+        edge.  A defining h_i through the off-cycle u is {v_i, v_{i+1}, u},
+        so it puts i in L(u); every other edge through u puts its cycle
+        vertices in S(u)."""
+        pos, defining, out = self.position, self.defining, {}
+        for e in self.h.edges:
+            i = defining.get(e)
+            s_bits = 0 if i is not None else sum(1 << pos[w] for w in e if w in pos)
+            l_bits = 0 if i is None else 1 << i
+            for u in e:
+                if u not in pos:
+                    s_mask, l_mask = out.get(u, (0, 0))
+                    out[u] = s_mask | s_bits, l_mask | l_bits
+        return out
+
+    @cached_property
+    def edge_set(self) -> frozenset[Edge]:
+        return frozenset(self.h.edges)
 
 
 @dataclass(frozen=True)
@@ -154,37 +179,23 @@ def shift(positions, offset: int, ell: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def peripheral_masks(h: LinearHypergraph, ctx: CycleContext, u: int) -> tuple[int, int]:
-    """S(u), L(u) as position masks.  A defining h_i through the off-cycle u
-    is {v_i, v_{i+1}, u}, so it puts i in L(u); every other edge through u
-    puts its cycle vertices in S(u)."""
-    if not 0 <= u < h.n:
-        raise VertexOutOfRangeError(f"vertex {u} out of range [0, {h.n})")
+def peripheral_masks(ctx: CycleContext, u: int) -> tuple[int, int]:
+    """S(u), L(u) as position masks, read from ``CycleContext.masks``; both
+    are empty at an off-cycle vertex in no edge."""
+    if not 0 <= u < ctx.h.n:
+        raise VertexOutOfRangeError(f"vertex {u} out of range [0, {ctx.h.n})")
     if u in ctx.position:
         raise VertexOnCycleError(f"vertex {u} is a defining vertex of the cycle")
-    pos, defining = ctx.position, ctx.defining
-    s_mask = l_mask = 0
-    for e in h.edges:
-        if u not in e:
-            continue
-        i = defining.get(e)
-        if i is not None:
-            l_mask |= 1 << i
-        else:
-            for w in e:
-                p = pos.get(w)
-                if p is not None:
-                    s_mask |= 1 << p
-    return s_mask, l_mask
+    return ctx.masks.get(u, (0, 0))
 
 
-def check_claim_plus(h: LinearHypergraph, ctx: CycleContext, u: int) -> Violation | None:
+def check_claim_plus(ctx: CycleContext, u: int) -> Violation | None:
     """Law for a single off-cycle vertex: (S(u) ∪ L(u)) ∩ S(u)⁻ is empty.
 
     A hit at position p means u is joined to both v_p and v_{p+1} in a way
     that splices u between them, extending the cycle.
     """
-    hit = claim_plus_hit(*peripheral_masks(h, ctx, u), ctx.length)
+    hit = claim_plus_hit(*peripheral_masks(ctx, u), ctx.length)
     if hit is None:
         return None
     condition, p = hit
@@ -196,32 +207,29 @@ def check_claim_plus(h: LinearHypergraph, ctx: CycleContext, u: int) -> Violatio
         us=(u,),
         position=p,
         condition=condition,
-        witnesses=tuple(_edge_through(h, u, vs[q % ctx.length]) for q in (p, p + 1)),
+        witnesses=tuple(_edge_through(ctx.h, u, vs[q % ctx.length]) for q in (p, p + 1)),
     )
 
 
-def check_claim_plus_plus(h: LinearHypergraph, ctx: CycleContext,
-                          triple: Edge) -> Violation | None:
+def check_claim_plus_plus(ctx: CycleContext, triple: Edge) -> Violation | None:
     """Law for a hyperedge {u1,u2,u3} disjoint from the cycle.
 
     For every ordered pair (u_i, u_j): (S(u_i)∪L(u_i)) misses both
     shift(S(u_j)∪L(u_j), -1) and shift(S(u_j), -2).
     """
-    ev = _checked_off_cycle_triple(h, ctx, triple)
-    return _pair_law(h, ctx, list(itertools.permutations(ev, 2)), 2,
-                     "claim-plus-plus", (triple,))
+    ev = _checked_off_cycle_triple(ctx, triple)
+    return _pair_law(ctx, itertools.permutations(ev, 2), 2, "claim-plus-plus", (triple,))
 
 
-def check_claim_triple(h: LinearHypergraph, ctx: CycleContext,
-                       e1: Edge, e2: Edge) -> Violation | None:
+def check_claim_triple(ctx: CycleContext, e1: Edge, e2: Edge) -> Violation | None:
     """Law for two off-cycle hyperedges sharing exactly one vertex.
 
     With e1 = {u1,u2,u3}, e2 = {u1,u4,u5} sharing u1, every pair (u_i, u_j)
     with u_i from e1 and u_j from e2 (both != u1) must satisfy the shifted
     disjointness up to offset 3.
     """
-    ev1 = _checked_off_cycle_triple(h, ctx, e1)
-    ev2 = _checked_off_cycle_triple(h, ctx, e2)
+    ev1 = _checked_off_cycle_triple(ctx, e1)
+    ev2 = _checked_off_cycle_triple(ctx, e2)
     shared = set(ev1) & set(ev2)
     if len(shared) != 1:
         raise BadSharingPatternError(
@@ -230,11 +238,10 @@ def check_claim_triple(h: LinearHypergraph, ctx: CycleContext,
     u1 = shared.pop()
     lefts = [u for u in ev1 if u != u1]
     rights = [u for u in ev2 if u != u1]
-    return _pair_law(h, ctx, list(itertools.product(lefts, rights)), 3,
-                     "claim-triple", (e1, e2))
+    return _pair_law(ctx, itertools.product(lefts, rights), 3, "claim-triple", (e1, e2))
 
 
-def check_laws(h: LinearHypergraph, ctx: CycleContext) -> tuple[list[Violation], int, int, int]:
+def check_laws(ctx: CycleContext) -> tuple[list[Violation], int, int, int]:
     """Every structural law around one oriented cycle.
 
     Returns the violations (vertex laws first, then hyperedge laws, then
@@ -243,45 +250,48 @@ def check_laws(h: LinearHypergraph, ctx: CycleContext) -> tuple[list[Violation],
     but only those in some edge are walked: an isolated vertex has empty S
     and L, so it passes, and a huge vertex count costs nothing.  When the
     cycle holds every touched vertex, no off-cycle triple exists either,
-    so nothing is left to check.
+    so nothing is left to check, and ``ctx.masks`` is never built.
     """
-    off = sorted(set().union(*h.edges) - ctx.position.keys())
+    off = sorted(set().union(*ctx.h.edges) - ctx.position.keys())
     if not off:
-        return [], h.n - ctx.length, 0, 0
-    triples = off_cycle_triples(h, ctx)
+        return [], ctx.h.n - ctx.length, 0, 0
+    triples = off_cycle_triples(ctx)
     pairs = sharing_pairs(triples)
-    found = [check_claim_plus(h, ctx, u) for u in off]
-    found += [check_claim_plus_plus(h, ctx, t) for t in triples]
-    found += [check_claim_triple(h, ctx, e1, e2) for e1, e2 in pairs]
-    return [v for v in found if v is not None], h.n - ctx.length, len(triples), len(pairs)
+    found = [check_claim_plus(ctx, u) for u in off]
+    found += [check_claim_plus_plus(ctx, t) for t in triples]
+    found += [check_claim_triple(ctx, e1, e2) for e1, e2 in pairs]
+    return [v for v in found if v is not None], ctx.h.n - ctx.length, len(triples), len(pairs)
 
 
-def off_cycle_triples(h: LinearHypergraph, ctx: CycleContext) -> list[Edge]:
+def off_cycle_triples(ctx: CycleContext) -> list[Edge]:
     """Size-3 hyperedges with no vertex on the cycle."""
-    return [e for e in h.edges
+    return [e for e in ctx.h.edges
             if len(e) == 3 and not any(v in ctx.position for v in e)]
 
 
 def sharing_pairs(triples) -> list[tuple[Edge, Edge]]:
-    """Ordered pairs of distinct triples sharing exactly one vertex."""
-    out = []
-    for e1, e2 in itertools.permutations(triples, 2):
-        if len(set(e1) & set(e2)) == 1:
-            out.append((e1, e2))
-    return out
+    """Ordered pairs of distinct triples sharing exactly one vertex, in
+    ``itertools.permutations`` order."""
+    through: dict[int, set[int]] = {}
+    for b, e in enumerate(triples):
+        for v in e:
+            through.setdefault(v, set()).add(b)
+    return [(e1, triples[b]) for a, e1 in enumerate(triples)
+            for b in sorted(set().union(*(through[v] for v in e1)) - {a})
+            if len(set(e1) & set(triples[b])) == 1]
 
 
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
 
-def _pair_law(h: LinearHypergraph, ctx: CycleContext, pairs: list, max_shift: int,
-              kind: str, witnesses: tuple[Edge, ...]) -> Violation | None:
+def _pair_law(ctx: CycleContext, pairs, max_shift: int, kind: str,
+              witnesses: tuple[Edge, ...]) -> Violation | None:
     """The first ordered vertex pair of ``pairs`` whose shifted disjointness
-    up to ``max_shift`` fails (see ``claim_pair_hit``), as a Violation."""
-    masks = {u: peripheral_masks(h, ctx, u) for u in set().union(*pairs)}
+    up to ``max_shift`` fails (see ``claim_pair_hit``), as a Violation.
+    Every vertex of ``pairs`` lies in a checked off-cycle triple."""
     for ui, uj in pairs:
-        hit = claim_pair_hit(*masks[ui], *masks[uj], ctx.length, max_shift)
+        hit = claim_pair_hit(*ctx.masks[ui], *ctx.masks[uj], ctx.length, max_shift)
         if hit is not None:
             condition, p = hit
             return Violation(
@@ -294,9 +304,9 @@ def _pair_law(h: LinearHypergraph, ctx: CycleContext, pairs: list, max_shift: in
     return None
 
 
-def _checked_off_cycle_triple(h: LinearHypergraph, ctx: CycleContext, e) -> Edge:
+def _checked_off_cycle_triple(ctx: CycleContext, e) -> Edge:
     ev = tuple(sorted(e))
-    if ev not in set(h.edges):
+    if ev not in ctx.edge_set:
         raise ValueError(f"{tuple(e)!r} is not a hyperedge of this hypergraph")
     if len(ev) != 3:
         raise BadSharingPatternError(f"{ev} is not a size-3 hyperedge")
@@ -311,4 +321,3 @@ def _checked_off_cycle_triple(h: LinearHypergraph, ctx: CycleContext, e) -> Edge
 def _edge_through(h: LinearHypergraph, u: int, v: int) -> Edge:
     """The one hyperedge holding both u and v, which the caller knows exists."""
     return next(e for e in h.edges if u in e and v in e)
-

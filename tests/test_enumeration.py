@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import os
 import random
+import tracemalloc
 import types
 
 import pytest
@@ -12,6 +13,7 @@ from berge.enumeration import (
     _BoundCampaign,
     _ClaimsAcc,
     _ClaimsCampaign,
+    _RandomClaimsCampaign,
     _verify_bound,
     canonical_form,
     enumerate_hypergraphs,
@@ -353,7 +355,7 @@ def _cycle_through_unbounded(w, j, lower):
     ub = min(w.n, len(w.stack))
     if ub <= lower:
         return None
-    hits = _cycle_kernel(w.adj, w.cover, w.vmask, w.n, w.seeds[j], lower, ub)
+    hits = _cycle_kernel(w.adj, w.cover, w.vmask, w.seeds[j], lower, ub)
     return hits[0] if hits else None
 
 
@@ -554,7 +556,7 @@ def _assert_s_l_matches_object_level(camp, ctx):
     cctx = structure.CycleContext.from_cycle(h, BergeCycle(vertices=cyc, hyperedges=edges))
     touched = {v for e in h.edges for v in e} - set(cyc)
     for u in sorted(touched):
-        assert camp._s_l(ctx, u) == structure.peripheral_masks(h, cctx, u), (h, cyc, u)
+        assert camp._s_l(ctx, u) == structure.peripheral_masks(cctx, u), (h, cyc, u)
 
 
 def test_claims_s_l_matches_object_level():
@@ -589,14 +591,14 @@ def test_claims_walk_states_the_object_level_conditions():
     acc = _ClaimsAcc(8)
     camp._full_check(acc, ctx)
     walk = {(v["kind"], v["condition"]) for v in acc.violations}
-    found = structure.check_laws(h, structure.CycleContext.from_cycle(h, longest_berge_cycle(h)))[0]
+    found = structure.check_laws(structure.CycleContext.from_cycle(h, longest_berge_cycle(h)))[0]
     assert walk and walk <= {(v.kind, v.condition) for v in found}
 
 
 def test_claims_recheck_records_each_oriented_cycle(monkeypatch):
     # with every object-level check failing, the n <= 5 re-check records
     # one violation per longest cycle and orientation, each around its own
-    def one_violation(h, ctx):
+    def one_violation(ctx):
         return [structure.Violation("claim-plus", (0,), 0, "stub", ())], 0, 0, 0
 
     monkeypatch.setattr(enumeration, "check_laws", one_violation)
@@ -677,6 +679,25 @@ def test_campaign_workers_capped_by_units(monkeypatch):
         assert sizes == want
         serial = verify_claims(n, jobs=1).as_dict()
         assert d == serial
+    # random samples: 60 units on at most 16 workers, the same report
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    sizes.clear()
+    d = verify_claims(9, samples=60, seed=11, jobs=64).as_dict()
+    assert sizes == [16]
+    assert d == verify_claims(9, samples=60, seed=11, jobs=1).as_dict()
+
+
+def test_random_claims_units_take_constant_memory():
+    # the sample indices are a range, not a list, so a huge --samples costs
+    # no memory before the first sample runs
+    tracemalloc.start()
+    try:
+        _acc, units = _RandomClaimsCampaign(12, 10**6, 1).run_top(None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(units) == 10**6 and list(units[:3]) == [0, 1, 2]
+    assert peak < 1 << 20
 
 
 def _bound_summary(acc):

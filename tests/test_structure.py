@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,8 +12,10 @@ from berge import (
     VertexOutOfRangeError,
     longest_berge_cycle,
     oracle_longest_cycle,
+    structure,
     validate,
 )
+from berge.constructions import extremal_disjoint_sts
 from berge.enumeration import enumerate_hypergraphs, random_linear
 from berge.structure import (
     CycleContext,
@@ -75,7 +79,7 @@ def test_peripheral_sets_examples():
     h = validate(4, [(0, 1, 3), (1, 2), (0, 2)])
     ctx = _ctx_of(h)
     assert ctx.length == 3
-    s, l = peripheral_masks(h, ctx, 3)
+    s, l = peripheral_masks(ctx, 3)
     assert s == 0 and l.bit_count() == 1
     i = l.bit_length() - 1
     vs = ctx.cycle.vertices
@@ -85,19 +89,19 @@ def test_peripheral_sets_examples():
     h2 = validate(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
     ctx2 = _ctx_of(h2)
     assert ctx2.length == 3
-    assert peripheral_masks(h2, ctx2, 3) == (1 << ctx2.position[0], 0)
+    assert peripheral_masks(ctx2, 3) == (1 << ctx2.position[0], 0)
 
     # untouched vertex: both empty
     h3 = validate(4, [(0, 1), (1, 2), (0, 2)])
-    assert peripheral_masks(h3, _ctx_of(h3), 3) == (0, 0)
+    assert peripheral_masks(_ctx_of(h3), 3) == (0, 0)
 
 
 def test_peripheral_sets_rejects_cycle_vertex(triangle):
     ctx = _ctx_of(triangle)
     with pytest.raises(VertexOnCycleError):
-        peripheral_masks(triangle, ctx, 0)
+        peripheral_masks(ctx, 0)
     with pytest.raises(VertexOutOfRangeError):
-        peripheral_masks(triangle, ctx, triangle.n)
+        peripheral_masks(ctx, triangle.n)
     with pytest.raises(ValueError):
         CycleContext.from_cycle(
             triangle, BergeCycle(vertices=(0, 1, 2), hyperedges=((0, 1), (0, 2), (1, 2))))
@@ -111,8 +115,8 @@ def test_claim_plus_holds_on_longest_cycles():
             continue
         ctx = CycleContext.from_cycle(h, c)
         for u in [v for v in range(h.n) if v not in ctx.position]:
-            assert check_claim_plus(h, ctx, u) is None
-            s, _ = peripheral_masks(h, ctx, u)
+            assert check_claim_plus(ctx, u) is None
+            s, _ = peripheral_masks(ctx, u)
             assert s.bit_count() <= ctx.length // 2
 
 
@@ -132,7 +136,7 @@ def test_claim_plus_negative_control():
     assert longest_berge_cycle(h).length == 4
     fake = CycleContext.from_cycle(
         h, BergeCycle(vertices=(0, 1, 2), hyperedges=((0, 1), (1, 2), (0, 2))))
-    v = check_claim_plus(h, fake, 3)
+    v = check_claim_plus(fake, 3)
     assert v is not None and v.kind == "claim-plus"
     assert v.us == (3,)
     assert v.witnesses == ((0, 3), (1, 3))
@@ -150,7 +154,7 @@ def _assert_s_l_as_stated(h, ctx) -> int:
                 if any(u in e and v in e for e in h.edges if e not in es))
         l = sum(1 << i for i in range(ell)
                 if set(es[i]) == {vs[i], vs[(i + 1) % ell], u})
-        assert peripheral_masks(h, ctx, u) == (s, l), (h.edges, vs, u)
+        assert peripheral_masks(ctx, u) == (s, l), (h.edges, vs, u)
         with_l += l != 0
     return with_l
 
@@ -187,7 +191,7 @@ def test_claim_plus_witnesses_are_the_edges_through_the_hit_pairs():
             ctx = CycleContext.from_cycle(h, BergeCycle(vertices=vs, hyperedges=es))
             _assert_s_l_as_stated(h, ctx)
             for u in set(range(h.n)) - set(vs):
-                v = check_claim_plus(h, ctx, u)
+                v = check_claim_plus(ctx, u)
                 if v is None:
                     continue
                 hits += 1
@@ -204,7 +208,7 @@ def test_claim_plus_plus_negative_control():
     assert longest_berge_cycle(h).length > 3
     fake = CycleContext.from_cycle(
         h, BergeCycle(vertices=(0, 1, 2), hyperedges=((0, 1), (1, 2), (0, 2))))
-    v = check_claim_plus_plus(h, fake, (3, 4, 5))
+    v = check_claim_plus_plus(fake, (3, 4, 5))
     assert v is not None and v.kind == "claim-plus-plus"
 
 
@@ -214,11 +218,11 @@ def test_claim_triple_negative_control():
                       (3, 4, 5), (5, 6, 7), (0, 3), (1, 6)])
     fake = CycleContext.from_cycle(
         h, BergeCycle(vertices=(0, 1, 2), hyperedges=((0, 1), (1, 2), (0, 2))))
-    v = check_claim_triple(h, fake, (3, 4, 5), (5, 6, 7))
+    v = check_claim_triple(fake, (3, 4, 5), (5, 6, 7))
     assert v is not None and v.kind == "claim-triple"
     # and the shared-vertex precondition is enforced
     with pytest.raises(BadSharingPatternError):
-        check_claim_triple(h, fake, (3, 4, 5), (3, 4, 5))
+        check_claim_triple(fake, (3, 4, 5), (3, 4, 5))
 
 
 def test_claim_checkers_hold_on_true_longest_cycles_with_triples():
@@ -229,12 +233,12 @@ def test_claim_checkers_hold_on_true_longest_cycles_with_triples():
         if c is None:
             continue
         ctx = CycleContext.from_cycle(h, c)
-        triples = off_cycle_triples(h, ctx)
+        triples = off_cycle_triples(ctx)
         for t in triples:
             hits += 1
-            assert check_claim_plus_plus(h, ctx, t) is None
+            assert check_claim_plus_plus(ctx, t) is None
         for e1, e2 in sharing_pairs(triples):
-            assert check_claim_triple(h, ctx, e1, e2) is None
+            assert check_claim_triple(ctx, e1, e2) is None
     assert hits > 0   # the sample actually exercised the checker
 
 
@@ -242,32 +246,33 @@ def test_claim_checker_preconditions(fano):
     # Hamiltonian cycle: every triple touches it
     ctx = _ctx_of(fano)
     with pytest.raises(TripleTouchesCycleError):
-        check_claim_plus_plus(fano, ctx, (0, 1, 2))
+        check_claim_plus_plus(ctx, (0, 1, 2))
     with pytest.raises(ValueError):
-        check_claim_plus_plus(fano, ctx, (0, 1, 3))  # not an edge
+        check_claim_plus_plus(ctx, (0, 1, 3))  # not an edge
     h = validate(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
     with pytest.raises(BadSharingPatternError):
-        check_claim_plus_plus(h, _ctx_of(h), (3, 4))  # a 2-edge
+        check_claim_plus_plus(_ctx_of(h), (3, 4))  # a 2-edge
 
 
 def test_vacuous_cases(fano, two_triples):
     # Hamiltonian cycle leaves no off-cycle vertices
     ctx = _ctx_of(fano)
     assert ctx.length == fano.n
-    assert off_cycle_triples(fano, ctx) == []
+    assert off_cycle_triples(ctx) == []
     # cycle plus a fully detached triple: everything empty, checker passes
     h = validate(6, [(0, 1), (1, 2), (0, 2), (3, 4, 5)])
     ctx2 = _ctx_of(h)
-    assert check_claim_plus_plus(h, ctx2, (3, 4, 5)) is None
+    assert check_claim_plus_plus(ctx2, (3, 4, 5)) is None
     # a cycle through every touched vertex, plus isolated vertices: the
     # isolated ones are counted and nothing else is left to check, as the
     # full path finds with one edge off the cycle
     h3 = validate(10, fano.edges)
     ctx3 = _ctx_of(h3)
     assert ctx3.length == 7
-    assert check_laws(h3, ctx3) == ([], 3, 0, 0)
+    assert check_laws(ctx3) == ([], 3, 0, 0)
+    assert "masks" not in vars(ctx3)   # the S/L table was never built
     h4 = validate(10, fano.edges + ((7, 8),))
-    assert check_laws(h4, CycleContext.from_cycle(h4, ctx3.cycle)) == ([], 3, 0, 0)
+    assert check_laws(CycleContext.from_cycle(h4, ctx3.cycle)) == ([], 3, 0, 0)
 
 
 def test_check_laws_on_non_maximum_cycle():
@@ -275,9 +280,46 @@ def test_check_laws_on_non_maximum_cycle():
     h = validate(4, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3)])
     short = CycleContext.from_cycle(
         h, BergeCycle(vertices=(0, 1, 2), hyperedges=((0, 1), (1, 2), (0, 2))))
-    found, vertices, triples, pairs = check_laws(h, short)
-    assert found == [check_claim_plus(h, short, 3)] and found[0] is not None
+    found, vertices, triples, pairs = check_laws(short)
+    assert found == [check_claim_plus(short, 3)] and found[0] is not None
     assert (vertices, triples, pairs) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("copies", [3, 300])
+def test_check_laws_runs_every_check_through_its_checker(monkeypatch, copies):
+    # disjoint Fano planes around a 7-cycle: each off-cycle vertex, triple
+    # and sharing pair (two lines of a plane meet once) is one call of its
+    # public checker, the calls the benchmark traces as structure.checks;
+    # 300 copies finish in well under a second unless the checks are
+    # quadratic in the edge count
+    calls = Counter()
+    for name in ("check_claim_plus", "check_claim_plus_plus", "check_claim_triple"):
+        def counted(*args, _check=getattr(structure, name), _name=name):
+            calls[_name] += 1
+            return _check(*args)
+        monkeypatch.setattr(structure, name, counted)
+    h = extremal_disjoint_sts(7, copies)
+    ctx = _ctx_of(h)
+    off = 7 * (copies - 1)
+    assert ctx.length == 7
+    assert check_laws(ctx) == ([], off, off, 6 * off)
+    assert calls == {"check_claim_plus": off, "check_claim_plus_plus": off,
+                     "check_claim_triple": 6 * off}
+
+
+def test_sharing_pairs_is_the_permutations_definition():
+    # on seeded lists of 3-sets, linear or not, the shared-vertex index
+    # lists the same pairs in the same order as the all-pairs definition
+    rng = random.Random(24)
+    two_shared = 0
+    for _ in range(300):
+        pool = list(itertools.combinations(range(rng.randint(3, 9)), 3))
+        triples = rng.sample(pool, rng.randint(0, min(len(pool), 12)))
+        pairs = list(itertools.permutations(triples, 2))
+        assert sharing_pairs(triples) == [
+            (e1, e2) for e1, e2 in pairs if len(set(e1) & set(e2)) == 1]
+        two_shared += any(len(set(e1) & set(e2)) == 2 for e1, e2 in pairs)
+    assert two_shared > 100
 
 
 # circumference 3: the triangle 0-1-2; the off-cycle triples {3,4,5} and
@@ -295,5 +337,5 @@ def test_length3_instance_circumference():
     "claim-triple check counts the memberships S(4) and S(6) of cycle "
     "vertex 0, which come from the single edge {0,4,6}, as a violation"))
 def test_claim_triple_no_false_positive_at_length_3():
-    found, _, _, _ = check_laws(L3_INSTANCE, _ctx_of(L3_INSTANCE))
+    found, _, _, _ = check_laws(_ctx_of(L3_INSTANCE))
     assert found == []

@@ -1,9 +1,9 @@
 """Command-line interface: construct, solve, check, verify, shadow, stats.
 
-All verbs except ``construct`` emit a versioned JSON report::
+All verbs except ``construct`` emit a versioned JSON report on one line,
+keys sorted and without spaces::
 
-    {"schema_version": "1", "command": {...}, "result": {...},
-     "timing": {"seconds": ...}}
+    {"command":{...},"result":{...},"schema_version":"1","timing":{"seconds":...}}
 
 Identical commands (including seeds) produce byte-identical output except
 for the ``timing`` object.  Exit codes: 0 success/verified, 1 a theorem or
@@ -56,7 +56,8 @@ def _emit(args, command: dict, result: dict, seconds: float) -> None:
         "result": result,
         "timing": {"seconds": round(seconds, 6)},
     }
-    _write(args, json.dumps(report, sort_keys=True, indent=2) + "\n")
+    # no indent: with one, json falls back to its pure-Python encoder
+    _write(args, json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _write(args, text: str) -> None:
@@ -143,7 +144,7 @@ def _run_shadow(args):
     result = {
         "n": h.n,
         "shadow_edges": sg.edge_count,
-        "pairs": [list(p) for p in sg.pairs],
+        "pairs": sg.pairs,  # tuples encode as JSON arrays
     }
     return {"verb": "shadow", "file": args.file}, result, 0
 

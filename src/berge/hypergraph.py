@@ -59,38 +59,70 @@ def validate(n: int, raw_edges) -> LinearHypergraph:
 
     ``raw_edges`` is any iterable of vertex collections.  Edges are sorted
     and the edge list is sorted, so equal inputs in any order produce equal
-    hypergraphs.  n=0 and edgeless hypergraphs are legal.
+    hypergraphs.  n=0 and edgeless hypergraphs are legal.  A vertex is an
+    ``int`` other than a ``bool``.
+
+    Size and range are decided edge by edge in input order, and within an
+    edge the first bad vertex in sorted order is named.  Duplicates and
+    shared pairs are then found in sorted edge order, a pair u < v keyed by
+    the integer u * n + v.
     """
     if n < 0:
         raise VertexOutOfRangeError(f"vertex count must be non-negative, got {n}")
     edges: list[Edge] = []
     for raw in raw_edges:
         vs = tuple(sorted(raw))
-        if len(set(vs)) != len(vs) or len(vs) not in (2, 3):
+        # sorted, so distinct means no two neighbours are equal, and the
+        # range is [vs[0], vs[-1]]
+        if len(vs) == 3:
+            lo, mid, hi = vs
+            ok = lo != mid != hi
+            ints = type(lo) is int and type(mid) is int and type(hi) is int
+        elif len(vs) == 2:
+            lo, hi = vs
+            ok = lo != hi
+            ints = type(lo) is int and type(hi) is int
+        else:
+            ok = False
+        if not ok:
             raise EdgeSizeError(f"hyperedge {tuple(raw)!r} must have 2 or 3 distinct vertices")
-        for v in vs:
-            if not isinstance(v, int) or v < 0 or v >= n:
-                raise VertexOutOfRangeError(f"vertex {v!r} out of range [0, {n}) in edge {vs}")
+        if not (ints and lo >= 0 and hi < n):
+            for v in vs:  # int subclasses other than bool pass here
+                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                    raise VertexOutOfRangeError(f"vertex {v!r} out of range [0, {n}) in edge {vs}")
         edges.append(vs)
     edges.sort()
-    seen_pair: dict[tuple[int, int], Edge] = {}
-    prev: Edge | None = None
+    # the first edge holding each pair: a repeated edge meets its earlier
+    # copy at its first pair, before any other edge could share one
+    first: dict[int, Edge] = {}
+    claim = first.setdefault
     for e in edges:
-        if e == prev:
-            raise DuplicateEdgeError(f"hyperedge {e} appears twice")
-        prev = e
-        for p in itertools.combinations(e, 2):
-            other = seen_pair.get(p)
-            if other is not None:
-                raise LinearityError(f"edges {other} and {e} share the pair {p}")
-            seen_pair[p] = e
+        a, b = e[0], e[1]
+        an = a * n
+        if (other := claim(an + b, e)) is not e:
+            _shared(other, e, (a, b))
+        if len(e) == 3:
+            c = e[2]
+            if (other := claim(an + c, e)) is not e:
+                _shared(other, e, (a, c))
+            if (other := claim(b * n + c, e)) is not e:
+                _shared(other, e, (b, c))
     return LinearHypergraph(n=n, edges=tuple(edges))
 
 
+def _shared(other: Edge, e: Edge, pair: tuple[int, int]) -> None:
+    """Raise for edge ``e`` meeting the earlier edge ``other`` at ``pair``."""
+    if other == e:
+        raise DuplicateEdgeError(f"hyperedge {e} appears twice")
+    raise LinearityError(f"edges {other} and {e} share the pair {pair}")
+
+
 def shadow(h: LinearHypergraph) -> ShadowGraph:
-    """Two-shadow of ``h``, its pairs in ascending order."""
-    pairs = {p for e in h.edges for p in itertools.combinations(e, 2)}
-    return ShadowGraph(n=h.n, pairs=tuple(sorted(pairs)))
+    """Two-shadow of ``h``, its pairs in ascending order.  By linearity no
+    two edges give the same pair, so the pairs are sorted, not deduplicated."""
+    pairs = [p for e in h.edges for p in itertools.combinations(e, 2)]
+    pairs.sort()
+    return ShadowGraph(n=h.n, pairs=tuple(pairs))
 
 
 def degree(h: LinearHypergraph, v: int) -> int:
@@ -151,8 +183,7 @@ def _check_vertex(h: LinearHypergraph, v: int) -> None:
 
 def parse_hg(text: str) -> LinearHypergraph:
     """Parse the .hg text format, running full validation."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [s for ln in text.splitlines() if (s := ln.strip()) and s[0] != "#"]
     if not lines:
         raise FormatError("empty .hg input")
     head = lines[0].split()
@@ -168,10 +199,9 @@ def parse_hg(text: str) -> LinearHypergraph:
     edges = []
     for ln in body:
         try:
-            vs = [int(tok) for tok in ln.split()]
+            edges.append(tuple(map(int, ln.split())))
         except ValueError:
             raise FormatError(f"non-integer vertex in line {ln!r}") from None
-        edges.append(vs)
     return validate(n, edges)
 
 

@@ -57,7 +57,12 @@ pays on long searches, where a partial cycle recurs in another vertex
 order.  The claims walk's anchored searches are short: they meet none at
 n <= 6, and at n = 7 the set skips 119,680 states over 31,590,702
 instances.  ``all_longest_berge_cycles`` must see the ties, which a state
-met again may still close, so it keeps no states.
+met again may still close, so it keeps no states.  A seed's set holds at
+most ``_STATE_CAP`` states, so its memory is bounded on large instances;
+past the cap a new state is expanded but not stored, which is always
+sound, since a state that is not stored is only expanded again.  The
+largest set met on the benchmark's workloads holds 3,067 states, far
+below the cap.
 
 ``longest_berge_path`` and ``has_berge_path`` share one path search.  At a
 tip w it takes the reach R of w's free neighbours and the *live* edges:
@@ -95,6 +100,7 @@ from .errors import InstanceTooLargeError
 from .hypergraph import Edge, LinearHypergraph
 
 ORACLE_CAP_N = 7
+_STATE_CAP = 1 << 16  # the most states a seed's set holds (see the module docstring)
 
 
 @dataclass(frozen=True)
@@ -438,7 +444,7 @@ def _cycle_kernel(adj: list[int], cover, emask: list[int], seeds,
                     seen = {state}
                 elif state in seen:
                     free = 0
-                else:
+                elif len(seen) < _STATE_CAP:
                     seen.add(state)
             if free:
                 # grow the reach of the free neighbours until it can close

@@ -176,6 +176,54 @@ def test_output_determinism(tmp_path, capsys):
     assert a == b
 
 
+REPORT_VERBS = [
+    ["shadow", "{f}"],
+    ["stats", "{f}"],
+    ["solve", "longest-path", "{f}"],
+    ["solve", "circumference", "{f}"],
+    ["solve", "has-path", "{f}", "--k", "3"],
+    ["check", "claims", "{f}"],
+    ["verify", "theorem-uniform", "--n", "5", "--k", "4"],
+    ["verify", "theorem-shadow", "--n", "4", "--k", "4"],
+    ["verify", "remark", "--n", "4", "--k", "2"],
+    ["verify", "claims", "--n", "4"],
+    ["verify", "claims", "--n", "5", "--samples", "5", "--seed", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", REPORT_VERBS, ids=lambda a: "-".join(a[:2]))
+def test_report_is_one_line(tmp_path, capsys, argv):
+    # every report is one line of JSON, and -o writes the same object
+    f = tmp_path / "t.hg"
+    f.write_text("6 4\n0 1 2\n2 3 4\n4 5\n0 5\n")
+    argv = [w.format(f=f) for w in argv]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    assert out.endswith("\n") and out.count("\n") == 1
+    rep = read_report(out)
+    dest = tmp_path / "report.json"
+    assert main(argv + ["-o", str(dest)]) == 0
+    assert capsys.readouterr().out == ""
+    text = dest.read_text(encoding="utf-8")
+    assert text.endswith("\n") and text.count("\n") == 1
+    again = read_report(text)
+    rep.pop("timing")
+    again.pop("timing")
+    assert again == rep
+
+
+def test_shadow_pairs_ascending(tmp_path, capsys):
+    f = tmp_path / "fano.hg"
+    main(["construct", "fano", "-o", str(f)])
+    code, rep = _report(capsys, ["shadow", str(f)])
+    assert code == 0
+    pairs = rep["result"]["pairs"]
+    assert len(pairs) == rep["result"]["shadow_edges"] == 21
+    assert all(type(p) is list and len(p) == 2 and all(type(v) is int for v in p)
+               and p[0] < p[1] for p in pairs)
+    assert all(a < b for a, b in zip(pairs, pairs[1:]))
+
+
 def test_report_reader_rejects_unknown_fields():
     good = json.dumps({"schema_version": "1", "command": {}, "result": {},
                        "timing": {"seconds": 0}})

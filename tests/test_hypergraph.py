@@ -46,10 +46,74 @@ def test_validate_fano_pair_coverage(fano):
     ([(0, 5)], VertexOutOfRangeError),
     ([(0, 1), (1, 0)], DuplicateEdgeError),
     ([(-1, 1)], VertexOutOfRangeError),
+    ([(True, 2)], VertexOutOfRangeError),
+    ([(2, False)], VertexOutOfRangeError),
 ])
 def test_validate_rejections(bad, err):
     with pytest.raises(err):
         validate(3, bad)
+
+
+# The error, and its message, that each bad input gets.  Size and range are
+# decided edge by edge in input order, each edge's vertices in sorted order;
+# duplicates and shared pairs are found in sorted edge order, and a
+# LinearityError names the first edge holding the pair.
+ERROR_PRECEDENCE = [
+    (3, [(0, 1, 2, 3), (0, 5)], EdgeSizeError,
+     "hyperedge (0, 1, 2, 3) must have 2 or 3 distinct vertices"),
+    (3, [(0, 5), (0, 1, 2, 3)], VertexOutOfRangeError,
+     "vertex 5 out of range [0, 3) in edge (0, 5)"),
+    (3, [(0, 5), (0,)], VertexOutOfRangeError,
+     "vertex 5 out of range [0, 3) in edge (0, 5)"),
+    (3, [(7,), (0, 5)], EdgeSizeError,
+     "hyperedge (7,) must have 2 or 3 distinct vertices"),
+    (3, [(0, 0, 1), (0, 9)], EdgeSizeError,
+     "hyperedge (0, 0, 1) must have 2 or 3 distinct vertices"),
+    (3, [(0, 9), (1, 1)], VertexOutOfRangeError,
+     "vertex 9 out of range [0, 3) in edge (0, 9)"),
+    (3, [(1, 2), (2, 1, 2)], EdgeSizeError,
+     "hyperedge (2, 1, 2) must have 2 or 3 distinct vertices"),
+    (3, [(0, 1, 9, 9)], EdgeSizeError,
+     "hyperedge (0, 1, 9, 9) must have 2 or 3 distinct vertices"),
+    (3, [(1, 2), (6, 0, 5)], VertexOutOfRangeError,
+     "vertex 5 out of range [0, 3) in edge (0, 5, 6)"),
+    (3, [(0, -1, 2)], VertexOutOfRangeError,
+     "vertex -1 out of range [0, 3) in edge (-1, 0, 2)"),
+    (3, [(0, 1.5)], VertexOutOfRangeError,
+     "vertex 1.5 out of range [0, 3) in edge (0, 1.5)"),
+    (3, [(0, 1), (True, 2)], VertexOutOfRangeError,
+     "vertex True out of range [0, 3) in edge (True, 2)"),
+    (3, ["01"], VertexOutOfRangeError,
+     "vertex '0' out of range [0, 3) in edge ('0', '1')"),
+    (-1, [(0, 1, 2, 3)], VertexOutOfRangeError,
+     "vertex count must be non-negative, got -1"),
+    (3, [(0, 1), (1, 0)], DuplicateEdgeError, "hyperedge (0, 1) appears twice"),
+    (5, [(3, 4), (0, 1), (0, 1), (1, 2, 0)], DuplicateEdgeError,
+     "hyperedge (0, 1) appears twice"),
+    (4, [(0, 1, 3), (0, 1, 2)], LinearityError,
+     "edges (0, 1, 2) and (0, 1, 3) share the pair (0, 1)"),
+    (4, [(2, 3), (0, 1, 2), (0, 2, 3)], LinearityError,
+     "edges (0, 1, 2) and (0, 2, 3) share the pair (0, 2)"),
+    (5, [(3, 4), (0, 1, 2), (2, 3, 4), (0, 1)], LinearityError,
+     "edges (0, 1) and (0, 1, 2) share the pair (0, 1)"),
+    (5, [(2, 4), (3, 4), (0, 2, 4), (3, 4)], LinearityError,
+     "edges (0, 2, 4) and (2, 4) share the pair (2, 4)"),
+    (6, [(4, 5), (0, 1, 2), (2, 1)], LinearityError,
+     "edges (0, 1, 2) and (1, 2) share the pair (1, 2)"),
+    (9, [(5, 7, 8), (1, 7, 8)], LinearityError,
+     "edges (1, 7, 8) and (5, 7, 8) share the pair (7, 8)"),
+    # (2, 3, 4) meets two earlier edges: its pairs are tried in
+    # combinations order, so (2, 4) is named before (3, 4)
+    (5, [(2, 3, 4), (1, 3, 4), (0, 2, 4)], LinearityError,
+     "edges (0, 2, 4) and (2, 3, 4) share the pair (2, 4)"),
+]
+
+
+@pytest.mark.parametrize("n,bad,err,msg", ERROR_PRECEDENCE)
+def test_validate_error_precedence(n, bad, err, msg):
+    with pytest.raises(err) as exc:
+        validate(n, bad)
+    assert type(exc.value) is err and str(exc.value) == msg
 
 
 def test_validate_edge_order_irrelevant():
@@ -78,13 +142,16 @@ def test_shadow_count_identity_random():
     for i in range(200):
         h = random_linear(rng.randint(1, 9), random.Random(f"shadow:{i}"))
         m2 = sum(1 for e in h.edges if len(e) == 2)
-        assert shadow(h).edge_count == m2 + 3 * (h.m - m2)
+        pairs = shadow(h).pairs
+        assert len(pairs) == m2 + 3 * (h.m - m2)
+        assert all(p < q for p, q in zip(pairs, pairs[1:]))
 
 
 def test_shadow_cover_single_valued(fano):
-    # each shadow pair lies in exactly one hyperedge; pairs come sorted
+    # each shadow pair lies in exactly one hyperedge; pairs come strictly
+    # ascending, so no pair repeats
     sg = shadow(fano)
-    assert list(sg.pairs) == sorted(sg.pairs)
+    assert all(p < q for p, q in zip(sg.pairs, sg.pairs[1:]))
     for p in sg.pairs:
         assert len([f for f in fano.edges if set(p) <= set(f)]) == 1
     assert shadow(validate(5, [(2, 3, 4), (0, 1)])).pairs == ((0, 1), (2, 3), (2, 4), (3, 4))
@@ -153,6 +220,30 @@ def test_hg_round_trip(fano):
 def test_hg_format_errors(text):
     with pytest.raises(FormatError):
         parse_hg(text)
+
+
+@pytest.mark.parametrize("text,err,msg", [
+    # a non-integer line is a format error even after an edge-size error
+    ("3 2\n0 1 2 3\n0 x\n", FormatError, "non-integer vertex in line '0 x'"),
+    ("3 2\n0 1 5\n0 x\n", FormatError, "non-integer vertex in line '0 x'"),
+    ("3 1\n0 1 1\n", EdgeSizeError, "hyperedge (0, 1, 1) must have 2 or 3 distinct vertices"),
+    ("4 2\n0 1 3\n0 1 2\n", LinearityError,
+     "edges (0, 1, 2) and (0, 1, 3) share the pair (0, 1)"),
+    ("3 1 1\n0 1 2\n", FormatError, "header must be 'n m', got '3 1 1'"),
+    ("3 x\n0 1 2\n", FormatError, "non-integer header '3 x'"),
+    ("3 2\n0 1 2\n", FormatError, "header declares 2 edges but 1 lines follow"),
+    ("3 1\n0 1 2 # tail\n", FormatError, "non-integer vertex in line '0 1 2 # tail'"),
+])
+def test_hg_error_precedence(text, err, msg):
+    with pytest.raises(err) as exc:
+        parse_hg(text)
+    assert type(exc.value) is err and str(exc.value) == msg
+
+
+def test_hg_lines_are_stripped():
+    want = validate(3, [(0, 1, 2)])
+    for text in ("# c\n\n3 1\n  # c2\n 0   1   2 \n", "3 1\r\n2 0 1\r\n", "\t3 1\n0\t1 2"):
+        assert parse_hg(text) == want
 
 
 def test_hg_semantic_errors_use_validation():

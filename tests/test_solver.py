@@ -426,3 +426,13 @@ def test_cycle_witness_contract_random(uniformity):
     for n, i in seeds:
         _check_cycle_contract(
             random_linear(n, random.Random(f"contract:{n}:{i}"), uniformity))
+
+
+def test_cycle_witness_contract_state_cap(monkeypatch):
+    # a full state set stores no more states and only expands them again,
+    # so even a set capped at one state finds the same cycles
+    monkeypatch.setattr("berge.solver._STATE_CAP", 1)
+    for (n, uniformity), seeds in REVISITING_SEEDS.items():
+        for i in seeds:
+            _check_cycle_contract(
+                random_linear(n, random.Random(f"contract:{n}:{i}"), uniformity))
